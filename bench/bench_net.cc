@@ -3,10 +3,10 @@
 // multiplexed over a few mux threads, closed-loop
 // BEGIN -> READ_MANY(16) -> UPDATE_RMW(4, hot range) -> COMMIT.
 //
-// This is the headline demonstration of the suspension tentpole: with
-// SuspendMode::kContinuation the server sustains 10k+ connections with a
-// bounded worker count (num_threads event loops + 1 acceptor), because a
-// blocked statement suspends the *transaction*, never the loop.
+// The server sustains 10k+ connections with a bounded worker count
+// (num_threads event loops + 1 acceptor), because a blocked statement
+// suspends the *transaction*, never the loop: every connection's TxnCB
+// carries its loop's continuation hook.
 //
 //   BB_NET_CONNS          simulated connections       (default 10000)
 //   BB_NET_SERVER_THREADS server event loops          (default 8)
@@ -14,8 +14,6 @@
 //   BB_NET_ROWS           table size                  (default 65536)
 //   BB_NET_HOT            hot-range size for RMWs     (default 4096)
 //   BB_BENCH_DURATION     measured seconds            (default 5)
-//   BB_SUSPEND_MODE       futex|continuation          (default continuation
-//                         here; the engine-wide default stays futex)
 //
 // `--smoke` runs 1000 connections for ~2s and exits nonzero unless the
 // server saw zero protocol errors and every connection committed work.
@@ -35,7 +33,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <random>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -316,12 +313,6 @@ int RunServerChild(int port_pipe, int stop_pipe, int server_threads,
                    uint64_t rows) {
   Config cfg;
   cfg.num_threads = server_threads;
-  // The bounded-worker property needs continuations; honor an explicit
-  // futex override so the serialization cost is measurable.
-  const char* sm = std::getenv("BB_SUSPEND_MODE");
-  cfg.suspend_mode = (sm != nullptr && std::string(sm) == "futex")
-                         ? SuspendMode::kFutex
-                         : SuspendMode::kContinuation;
 
   NetServer::Options sopts;
   sopts.rows = rows;
@@ -423,10 +414,7 @@ int Run(bool smoke) {
   double secs = static_cast<double>(elapsed_ns) / 1e9;
   double tps = static_cast<double>(total.commits) / secs;
 
-  const char* sm = std::getenv("BB_SUSPEND_MODE");
-  bool futex_mode = sm != nullptr && std::string(sm) == "futex";
-  std::printf("bench_net: networked interactive front-end (%s)\n",
-              futex_mode ? "futex" : "continuation");
+  std::printf("bench_net: networked interactive front-end\n");
   std::printf("  conns=%llu server_loops=%d mux_threads=%d rows=%llu "
               "hot=%llu\n",
               static_cast<unsigned long long>(nconns), server_threads,

@@ -157,19 +157,17 @@ void RunDurabilityFaults(const bamboo::bench::Options& opt) {
             "fuzzy snapshot in pause and bytes");
 }
 
-/// Suspension ablation: the single-hotspot interactive mix under both
-/// blocked-statement strategies (futex parking vs continuation
-/// suspension), plus a loopback run through the wire-protocol server so
-/// the net_frames/net_bytes counters are exercised end to end. Row names
-/// are stable awk keys (SUSP_*) for scripts/bench_snapshot.sh.
+/// Suspension through the wire-protocol server: a loopback run whose
+/// blocked statements suspend on the server's event loops, so the
+/// susp/cont and net_frames/net_bytes counters are exercised end to end.
+/// The row name is a stable awk key (SUSP_*) for scripts/bench_snapshot.sh.
 void RunSuspension(const bamboo::bench::Options& opt) {
   using namespace bamboo;
   using namespace bamboo::bench;
   TablePrinter tbl(
-      "Suspension ablation, single-hotspot interactive, Bamboo",
+      "Suspension over loopback frames, Bamboo",
       {"config", "throughput(txn/s)", "abort_rate", "susp/txn", "cont/txn",
        "net_frames", "net_kB", "breakdown(ms/txn)"});
-  const int threads = opt.threads > 0 ? opt.threads : 8;
   auto add_row = [&tbl](const char* name, const RunResult& r) {
     auto per_txn = [&r](uint64_t n) {
       return r.total.commits > 0 ? static_cast<double>(n) /
@@ -183,27 +181,13 @@ void RunSuspension(const bamboo::bench::Options& opt) {
                 Fmt(static_cast<double>(r.total.net_bytes) / 1024.0, 1),
                 FmtBreakdown(r)});
   };
-  for (SuspendMode sm : {SuspendMode::kFutex, SuspendMode::kContinuation}) {
-    Config cfg = opt.BaseConfig();
-    cfg.protocol = Protocol::kBamboo;
-    cfg.mode = ExecMode::kInteractive;
-    cfg.suspend_mode = sm;
-    cfg.num_threads = threads;
-    cfg.synth_ops_per_txn = 16;
-    cfg.synth_num_hotspots = 1;
-    cfg.synth_hotspot_pos[0] = 0.0;
-    RunResult r = RunSynthetic(cfg);
-    add_row(sm == SuspendMode::kFutex ? "SUSP_FUTEX" : "SUSP_CONT", r);
-  }
-
-  // Loopback wire-protocol point: a few synchronous clients drive
-  // BEGIN/READ_MANY/UPDATE_RMW/COMMIT frames against an in-process server
-  // (continuation mode), long enough to exercise suspension under real
-  // frames. Metrics come from the server's loop stats.
+  // A few synchronous clients drive BEGIN/READ_MANY/UPDATE_RMW/COMMIT
+  // frames against an in-process server, long enough to exercise
+  // suspension under real frames. Metrics come from the server's loop
+  // stats.
   {
     Config cfg = opt.BaseConfig();
     cfg.protocol = Protocol::kBamboo;
-    cfg.suspend_mode = SuspendMode::kContinuation;
     cfg.num_threads = 2;
     NetServer::Options sopts;
     sopts.rows = 8192;
@@ -254,9 +238,8 @@ void RunSuspension(const bamboo::bench::Options& opt) {
       add_row("SUSP_NET_LOOPBACK", r);
     }
   }
-  tbl.Print("continuation mode must hold throughput while futex parks the "
-            "worker; the loopback row proves the counters flow through the "
-            "wire protocol");
+  tbl.Print("the loopback row proves the suspension and frame counters flow "
+            "through the wire protocol");
 }
 
 }  // namespace
@@ -287,7 +270,7 @@ int main() {
     return 0;
   }
 
-  // BB_SUSP_ONLY=1: just the suspension ablation (bench_snapshot.sh uses
+  // BB_SUSP_ONLY=1: just the loopback suspension row (bench_snapshot.sh uses
   // this for the networked_interactive section).
   if (std::getenv("BB_SUSP_ONLY") != nullptr) {
     RunSuspension(opt);

@@ -90,17 +90,12 @@ dur_ckpt_kb=$(pick_col DUR_CKPT 7)
 dur_ckpt_pause_us=$(pick_col DUR_CKPT 8)
 dur_ckpt_trunc=$(pick_col DUR_CKPT 9)
 
-# Suspension ablation (SUSP_* rows): the single-hotspot interactive mix
-# under futex parking vs continuation suspension, plus a loopback
-# wire-protocol run (real frames through the epoll server).
+# Suspension over a loopback wire-protocol run (SUSP_NET_LOOPBACK row:
+# real frames through the epoll server).
 susp_out=$(BB_BENCH_DURATION="$DUR" BB_BENCH_WARMUP="$WARM" \
            BB_SUSP_ONLY=1 "$BUILD_DIR/bench_opt_ablation")
-susp_futex_tput=$(printf '%s\n' "$susp_out" | awk '$1=="SUSP_FUTEX"'" $to_num")
-susp_cont_tput=$(printf '%s\n' "$susp_out" | awk '$1=="SUSP_CONT"'" $to_num")
 pick_susp() { printf '%s\n' "$susp_out" | awk -v row="$1" -v col="$2" \
               '$1==row {print $col+0; exit}'; }
-susp_cont_per_txn=$(pick_susp SUSP_CONT 4)
-cont_fired_per_txn=$(pick_susp SUSP_CONT 5)
 net_loop_frames=$(pick_susp SUSP_NET_LOOPBACK 6)
 net_loop_kb=$(pick_susp SUSP_NET_LOOPBACK 7)
 
@@ -209,7 +204,7 @@ cat > "$OUT" <<EOF
     "multiget_16": $multiget_ns
   },
   "networked_interactive": {
-    "note": "bench_net --smoke: 1k closed-loop connections multiplexed over a few client threads against 8 epoll loops (continuation suspension, fork-isolated server); SUSP_* rows compare futex parking vs continuation suspension on the interactive single-hotspot mix",
+    "note": "bench_net --smoke: 1k closed-loop connections multiplexed over a few client threads against 8 epoll loops (continuation suspension, fork-isolated server); loopback_* fields come from bench_opt_ablation's SUSP_NET_LOOPBACK row",
     "smoke_conns": 1000,
     "smoke_txn_per_s": ${net_tps:-null},
     "smoke_p50_us": ${net_p50_us:-null},
@@ -220,10 +215,6 @@ cat > "$OUT" <<EOF
     "smoke_continuations_fired": ${net_cont:-null},
     "smoke_net_frames": ${net_frames:-null},
     "smoke_net_bytes": ${net_bytes:-null},
-    "susp_futex_txn_per_s": ${susp_futex_tput:-null},
-    "susp_continuation_txn_per_s": ${susp_cont_tput:-null},
-    "susp_continuation_susp_per_txn": ${susp_cont_per_txn:-null},
-    "susp_continuation_cont_per_txn": ${cont_fired_per_txn:-null},
     "loopback_net_frames": ${net_loop_frames:-null},
     "loopback_net_kb": ${net_loop_kb:-null}
   }

@@ -35,21 +35,6 @@ PolicyMode DefaultPolicyMode() {
   return cached;
 }
 
-SuspendMode DefaultSuspendMode() {
-  // Latched once (see DefaultPolicyMode): CI legs set BB_SUSPEND_MODE per
-  // process and the mode must not flip between Databases built from
-  // default Configs.
-  static const SuspendMode cached = [] {
-    const char* v = std::getenv("BB_SUSPEND_MODE");
-    if (v != nullptr && (std::strcmp(v, "continuation") == 0 ||
-                         std::strcmp(v, "CONTINUATION") == 0)) {
-      return SuspendMode::kContinuation;
-    }
-    return SuspendMode::kFutex;
-  }();
-  return cached;
-}
-
 const char* ProtocolName(Protocol p) {
   switch (p) {
     case Protocol::kBamboo:

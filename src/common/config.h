@@ -64,31 +64,16 @@ enum class RC {
   kReadOnlyMode,  ///< writer rejected: the WAL exhausted its I/O retries and
                   ///< the engine degraded to read-only (see WalHealth)
   kSuspended,  ///< statement blocked and the transaction parked a
-               ///< continuation instead of this thread (SuspendMode::
-               ///< kContinuation); the driver resumes it via
+               ///< continuation instead of this thread (the driver
+               ///< installed TxnCB::susp_fire); the driver resumes it via
                ///< TxnHandle::ResumeSuspended once the continuation fires
 };
 
-/// How a blocked statement waits for its lock grant.
-///
-///   kFutex        - the worker thread parks on the TxnCB eventcount
-///                   (TxnCB::WaitFor). One blocked transaction pins one
-///                   thread; fine for the embedded bench path.
-///   kContinuation - the statement returns RC::kSuspended after arming a
-///                   continuation on the TxnCB; the lock table's
-///                   grant/wound/abort notifications fire it, and the
-///                   driver (bench runner or network server) re-enters the
-///                   transaction via TxnHandle::ResumeSuspended + replay.
-///                   Blocked transactions hold no thread -- this is what
-///                   lets an epoll server multiplex 10k+ connections over
-///                   a handful of workers.
+/// Names of the two wait paths: a thread parks on the TxnCB eventcount
+/// (futex), or the transaction parks a continuation and frees its thread.
+/// The engine never reads a setting to choose: a handle suspends iff its
+/// driver installed TxnCB::susp_fire (see the Config field below).
 enum class SuspendMode { kFutex, kContinuation };
-
-/// Default suspend mode: BB_SUSPEND_MODE=continuation (latched once per
-/// process, like BB_POLICY_MODE), else kFutex. Suspension additionally
-/// requires the driver to install TxnCB::susp_fire, so direct-handle tests
-/// are unaffected either way.
-SuspendMode DefaultSuspendMode();
 
 /// Durability health ladder (src/db/wal.h drives the transitions; the lock
 /// manager reads it to reject new writers in read-only mode).
@@ -168,10 +153,11 @@ struct Config {
   // contention policy".
   PolicyMode policy_mode = DefaultPolicyMode();
 
-  /// Blocked-statement wait strategy (see SuspendMode). Continuation mode
-  /// only engages when the driver also installs a TxnCB::susp_fire
-  /// callback, so handles used directly (tests) keep futex semantics.
-  SuspendMode suspend_mode = DefaultSuspendMode();
+  /// Unused by the engine; kept only because the benchmark drivers
+  /// (perfbench/net_load.cc, perfbench/embedded.cc) still set and print
+  /// it. The wait path follows the driver: the network server installs
+  /// TxnCB::susp_fire and suspends, thread workers never do and park.
+  SuspendMode suspend_mode = SuspendMode::kFutex;
   /// Temperature at or above which an entry runs full Bamboo (below it the
   /// entry is cold: plain 2PL admission, retire skipped). Temperature is a
   /// decaying sum (t -= t>>4 per submit) of +256 per conflicting submit and

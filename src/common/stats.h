@@ -69,10 +69,10 @@ struct alignas(kCacheLineSize) ThreadStats {
   /// 1 degraded, 2 read-only.
   uint64_t health_state = 0;
 
-  // --- transaction suspension (SuspendMode::kContinuation) and the
-  // network front-end. net_frames/net_bytes are counted by the server's
-  // event loops (frames decoded + encoded, payload bytes in both
-  // directions); zero for embedded runs.
+  // --- transaction suspension and the network front-end, both counted
+  // by the server's event loops (the only driver that suspends).
+  // net_frames/net_bytes are frames decoded + encoded and payload bytes in
+  // both directions; all zero for embedded runs.
   uint64_t suspended_txns = 0;       ///< statements parked as continuations
   uint64_t continuations_fired = 0;  ///< continuation wakeups dispatched
   uint64_t net_frames = 0;           ///< protocol frames decoded + encoded

@@ -903,6 +903,19 @@ AccessGrant LockManager::UpgradeOne(LockShard* sh, const AccessRequest& req,
       break;
     }
     case ConflictRule::kWoundYounger:
+      // An upgrade is granted ahead of every waiter (PromoteWaiters), so an
+      // older live waiter would end up waiting for this younger
+      // transaction -- the edge wound-wait forbids, and a cycle once the
+      // upgrader takes a commit barrier or a lock the waiter holds. The
+      // younger party dies: here, the upgrader (unassigned counts as
+      // youngest; it takes a timestamp first so its retry keeps its age).
+      for (const LockReq* w = e->waiters.head; w != nullptr; w = w->next) {
+        if (w->txn != txn && !w->txn->IsAborted() && OlderThan(w->txn, txn)) {
+          EnsureTs(txn);
+          a.rc = AcqResult::kAbort;
+          return a;
+        }
+      }
       // Wound-wait: younger conflicting holders die (the dual-upgrade case
       // resolves the same way -- the younger upgrader is itself a holder).
       for (LockReq* h : c_holders) {
@@ -1418,7 +1431,11 @@ int LockManager::RetireDependentsAndFree(LockReq* req, bool committed) {
       if (dep->commit_semaphore.fetch_sub(1, std::memory_order_acq_rel) ==
           1) {
         // Last barrier gone: if the dependent's worker already handed
-        // its commit off, claim and finish it (commit pipelining).
+        // its commit off, claim and finish it (commit pipelining). The
+        // fence pairs with the one after TxnHandle::Commit publishes
+        // `detached`: this exchange sees the flag, or that re-check sees
+        // the drained semaphore.
+        std::atomic_thread_fence(std::memory_order_seq_cst);
         if (dep->detached.exchange(false, std::memory_order_acq_rel)) {
           t_pending_completions.push_back(dep);
         }

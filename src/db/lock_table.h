@@ -415,8 +415,8 @@ class LockManager {
   /// statement's rmw_arg may point into its (dying) stack frame, and
   /// PromoteWaiters applies fused fns on the *promoting* thread at an
   /// arbitrary later time. Unfusing before the frame dies makes the
-  /// pending request safe; the resumed statement re-applies the RMW with a
-  /// replay-fresh argument and retires explicitly.
+  /// pending request safe; the re-issued statement applies the RMW with
+  /// its own live argument and retires explicitly.
   bool UnfuseWaiter(Row* row, GrantToken token);
 
   /// RMW-own-write on an already-retired EX version (a second write by the

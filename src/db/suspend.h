@@ -8,11 +8,11 @@
 
 namespace bamboo {
 
-/// Multi-producer single-consumer ready queue for suspended transactions
-/// (SuspendMode::kContinuation). Producers are lock-table notification
-/// paths (grant / wound / semaphore drain) running TxnCB::susp_fire on
-/// whatever thread released the lock; the single consumer is the driver
-/// that owns the suspended transactions (a bench worker or an epoll loop).
+/// Multi-producer single-consumer ready queue for suspended transactions.
+/// Producers are lock-table notification paths (grant / wound / semaphore
+/// drain) running TxnCB::susp_fire on whatever thread released the lock;
+/// the single consumer is the epoll loop that owns the suspended
+/// transactions.
 ///
 /// Structure: a Treiber push stack over the intrusive `TxnCB::ready_next`
 /// link. Push never blocks; PopAll exchanges the head to nullptr, so the
@@ -25,23 +25,18 @@ namespace bamboo {
 /// re-arms, if at all, only after popping it). So `ready_next` can never
 /// be overwritten while the node is linked.
 ///
-/// Wakeup has two flavors, selected at construction:
-///  - futex gate (bench runner): the consumer parks on `gen` via
-///    std::atomic wait/notify when it has nothing else to do. `sleeping_`
-///    keeps the notify off the producer's fast path unless someone is
-///    actually parked.
-///  - eventfd (epoll server): the producer writes the fd so the event
-///    loop's epoll_wait returns. `event_pending_` collapses bursts into
-///    one write per drain cycle.
+/// Wakeup: the producer writes the loop's eventfd so its epoll_wait
+/// returns. `event_pending_` collapses bursts into one write per drain
+/// cycle. A queue with no eventfd installed (unit tests) is polled.
 class ResumeQueue {
  public:
   ResumeQueue() = default;
   ResumeQueue(const ResumeQueue&) = delete;
   ResumeQueue& operator=(const ResumeQueue&) = delete;
 
-  /// Install an eventfd to poke instead of (not in addition to) the futex
-  /// gate. The queue does not own the fd. Pass the platform write hook so
-  /// this header stays free of <sys/eventfd.h> (tests stub it).
+  /// Install the eventfd to poke on Push / Kick. The queue does not own
+  /// the fd. Pass the platform write hook so this header stays free of
+  /// <sys/eventfd.h>.
   void SetEventFd(int fd, void (*poke)(int)) {
     event_fd_ = fd;
     event_poke_ = poke;
@@ -56,16 +51,9 @@ class ResumeQueue {
       t->ready_next = h;
     } while (!head_.compare_exchange_weak(h, t, std::memory_order_release,
                                           std::memory_order_relaxed));
-    gen_.fetch_add(1, std::memory_order_release);
-    if (event_poke_ != nullptr) {
-      // One eventfd write per drain cycle: the consumer clears the flag
-      // after reading the fd, so a burst of fires costs one syscall.
-      if (!event_pending_.exchange(true, std::memory_order_acq_rel)) {
-        event_poke_(event_fd_);
-      }
-    } else if (sleeping_.load(std::memory_order_seq_cst)) {
-      gen_.notify_all();
-    }
+    // One eventfd write per drain cycle: the consumer clears the flag after
+    // reading the fd, so a burst of fires costs one syscall.
+    Kick();
   }
 
   /// Consumer side: detach the whole stack (LIFO chain via ready_next),
@@ -78,33 +66,17 @@ class ResumeQueue {
     return head_.load(std::memory_order_acquire) == nullptr;
   }
 
-  /// Consumer side, futex flavor: park until Push bumps `gen` past the
-  /// value observed before the caller's last empty PopAll, or `stop`
-  /// becomes true (checked via Kick -- the stopping thread must call
-  /// Kick() after setting its flag).
-  void WaitNonEmpty() {
-    uint32_t g = gen_.load(std::memory_order_acquire);
-    if (!Empty()) return;
-    sleeping_.store(true, std::memory_order_seq_cst);
-    // Re-check after publishing sleeping_: a Push between the loads above
-    // and the store would otherwise skip the notify and strand us.
-    if (Empty()) gen_.wait(g, std::memory_order_acquire);
-    sleeping_.store(false, std::memory_order_relaxed);
-  }
-
-  /// Unblock the consumer without pushing (shutdown, external state
-  /// change). Safe from any thread.
+  /// Wake the consumer without pushing (shutdown, external state change).
+  /// Safe from any thread.
   void Kick() {
-    gen_.fetch_add(1, std::memory_order_release);
-    gen_.notify_all();
     if (event_poke_ != nullptr &&
         !event_pending_.exchange(true, std::memory_order_acq_rel)) {
       event_poke_(event_fd_);
     }
   }
 
-  /// Consumer side, eventfd flavor: call after draining the eventfd so the
-  /// next Push issues a fresh write.
+  /// Consumer side: call after draining the eventfd so the next Push
+  /// issues a fresh write.
   void ClearEventPending() {
     event_pending_.store(false, std::memory_order_release);
   }
@@ -117,8 +89,6 @@ class ResumeQueue {
 
  private:
   std::atomic<TxnCB*> head_{nullptr};
-  std::atomic<uint32_t> gen_{0};
-  std::atomic<bool> sleeping_{false};
   std::atomic<bool> event_pending_{false};
   int event_fd_ = -1;
   void (*event_poke_)(int) = nullptr;

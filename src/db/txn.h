@@ -132,7 +132,7 @@ struct alignas(64) TxnCB {
   /// detached outcome is published so a slot-starved worker wakes up.
   std::atomic<uint32_t>* owner_wake = nullptr;
 
-  // --- continuation suspension (SuspendMode::kContinuation).
+  // --- continuation suspension (drivers that install susp_fire).
   // When a statement would block, the handle records resume state, arms
   // `susp_armed`, and returns RC::kSuspended instead of futex-parking.
   // Every wakeup path already funnels through Notify() (grant, wound,
@@ -143,11 +143,11 @@ struct alignas(64) TxnCB {
   // flag (exchange back to 0) and proceed inline; losing the exchange
   // means a notifier owns the fire.
   std::atomic<uint8_t> susp_armed{0};
-  /// Continuation dispatch, installed once by the driver (bench runner or
-  /// network server); nullptr keeps futex semantics regardless of
-  /// Config::suspend_mode. Runs on the *notifying* thread (a lock-table
-  /// release path, under no latches) -- it must only enqueue, never
-  /// re-enter the engine.
+  /// Continuation dispatch, installed once by a driver that must never
+  /// block (the network server's event loops); nullptr keeps futex
+  /// semantics -- this pointer alone selects the wait path. Runs on the
+  /// *notifying* thread (a lock-table release path, under no latches) --
+  /// it must only enqueue, never re-enter the engine.
   void (*susp_fire)(TxnCB*) = nullptr;
   void* susp_ctx = nullptr;   ///< driver context for susp_fire (e.g. queue)
   void* susp_user = nullptr;  ///< driver per-txn cookie (e.g. connection)

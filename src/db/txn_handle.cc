@@ -55,27 +55,14 @@ void TxnHandle::MaybeReset() {
   chunk_off_ = 0;
   big_chunks_.clear();
   susp_kind_ = SuspKind::kNone;
-  stmt_idx_ = 0;
-  stmts_done_ = 0;
-  rtts_paid_ = 0;
-  in_batch_build_ = false;
   batch_live_ = false;
   batch_j_ = -1;
   hits_live_ = false;
   hits_done_ = 0;
   rmw_hits_.clear();
-  memo_.clear();
-  memo_out_.clear();
 }
 
 // --- continuation suspension ------------------------------------------------
-
-bool TxnHandle::PayRtt(int my_idx) {
-  if (my_idx < 0) return true;  // futex mode: every execution pays
-  if (my_idx < rtts_paid_) return false;  // replayed statement: paid already
-  rtts_paid_ = my_idx + 1;
-  return true;
-}
 
 bool TxnHandle::StmtResolved() const {
   return txn_->lock_granted.load(std::memory_order_acquire) != 0 ||
@@ -129,7 +116,7 @@ RC TxnHandle::ResumeSuspended() {
     if (txn_->stats != nullptr) {
       txn_->stats->lock_wait_ns += NowNs() - susp_start_ns_;
     }
-    return RC::kPending;  // driver replays; the statement finishes itself
+    return RC::kPending;  // driver re-issues; the statement finishes itself
   }
   if (susp_kind_ == SuspKind::kCommit) {
     if (!CommitDrained() && ReArm()) return RC::kSuspended;
@@ -140,24 +127,6 @@ RC TxnHandle::ResumeSuspended() {
     return CommitTail();
   }
   return RC::kPending;  // stale fire after resolution; nothing to do
-}
-
-void TxnHandle::StmtDone(int idx, RC rc, const char* rd, char* wd) {
-  if (static_cast<size_t>(idx) >= memo_.size()) {
-    memo_.resize(static_cast<size_t>(idx) + 1);
-  }
-  memo_[static_cast<size_t>(idx)] = {rc, rd, wd, 0, 0};
-  stmts_done_ = idx + 1;
-}
-
-void TxnHandle::StmtDoneBatch(int idx, const char** outs, int n) {
-  if (static_cast<size_t>(idx) >= memo_.size()) {
-    memo_.resize(static_cast<size_t>(idx) + 1);
-  }
-  size_t off = memo_out_.size();
-  for (int i = 0; i < n; i++) memo_out_.push_back(outs[i]);
-  memo_[static_cast<size_t>(idx)] = {RC::kOk, nullptr, nullptr, off, n};
-  stmts_done_ = idx + 1;
 }
 
 RC TxnHandle::FinishWait(Access* a, RmwFn fn, void* arg, bool retire_now) {
@@ -182,7 +151,7 @@ RC TxnHandle::FinishWait(Access* a, RmwFn fn, void* arg, bool retire_now) {
   if (a->type == LockType::kEX) {
     a->data = g.write_data;
     if (fn != nullptr) {
-      fn(a->data, arg);  // replay-fresh argument, frame alive
+      fn(a->data, arg);  // the re-issued statement's argument, frame alive
       if (retire_now && a->state == AccState::kOwner &&
           lm_->Retire(a->row, a->token, /*tail_write=*/false)) {
         a->state = AccState::kRetired;
@@ -271,30 +240,18 @@ uint64_t TxnHandle::WaitForLock(Row* row) {
 
 RC TxnHandle::Read(HashIndex* index, uint64_t key, const char** data) {
   MaybeReset();
-  int my_idx = -1;
-  if (ContMode()) {
-    my_idx = stmt_idx_++;
-    if (my_idx < stmts_done_) {
-      *data = memo_[static_cast<size_t>(my_idx)].read_data;
-      return memo_[static_cast<size_t>(my_idx)].rc;
-    }
-  }
   if (txn_->IsAborted()) return RC::kAbort;
-  if (cfg_.mode == ExecMode::kInteractive && PayRtt(my_idx)) {
-    SimulateRtt(cfg_.interactive_rtt_us);
-  }
+  if (cfg_.mode == ExecMode::kInteractive) SimulateRtt(cfg_.interactive_rtt_us);
   Row* row = index->Get(key);
   if (row == nullptr) return FailAttempt();
-  RC rc = ReadRow(row, data);
-  if (rc == RC::kOk && my_idx >= 0) StmtDone(my_idx, rc, *data, nullptr);
-  return rc;
+  return ReadRow(row, data);
 }
 
 RC TxnHandle::ReadRow(Row* row, const char** data) {
   if (Access* a = FindAccess(row)) {
     if (a->state == AccState::kWaiting ||
         a->state == AccState::kWaitingUpgrade) {
-      // Replay of the statement that suspended on this row: its grant
+      // Re-issue of the statement that suspended on this row: its grant
       // resolved (that is what fired the continuation), finish it.
       RC rc = FinishWait(a, nullptr, nullptr, /*retire_now=*/false);
       if (rc != RC::kOk) return rc;
@@ -335,23 +292,11 @@ RC TxnHandle::ReadRow(Row* row, const char** data) {
 
 RC TxnHandle::Update(HashIndex* index, uint64_t key, char** data) {
   MaybeReset();
-  int my_idx = -1;
-  if (ContMode()) {
-    my_idx = stmt_idx_++;
-    if (my_idx < stmts_done_) {
-      *data = memo_[static_cast<size_t>(my_idx)].write_data;
-      return memo_[static_cast<size_t>(my_idx)].rc;
-    }
-  }
   if (txn_->IsAborted()) return RC::kAbort;
-  if (cfg_.mode == ExecMode::kInteractive && PayRtt(my_idx)) {
-    SimulateRtt(cfg_.interactive_rtt_us);
-  }
+  if (cfg_.mode == ExecMode::kInteractive) SimulateRtt(cfg_.interactive_rtt_us);
   Row* row = index->Get(key);
   if (row == nullptr) return FailAttempt();
-  RC rc = UpdateRow(row, data);
-  if (rc == RC::kOk && my_idx >= 0) StmtDone(my_idx, rc, nullptr, *data);
-  return rc;
+  return UpdateRow(row, data);
 }
 
 RC TxnHandle::UpdateRow(Row* row, char** data) {
@@ -413,29 +358,20 @@ RC TxnHandle::UpdateRow(Row* row, char** data) {
 
 RC TxnHandle::UpdateRmw(HashIndex* index, uint64_t key, RmwFn fn, void* arg) {
   MaybeReset();
-  int my_idx = -1;
-  if (ContMode()) {
-    my_idx = stmt_idx_++;
-    if (my_idx < stmts_done_) return memo_[static_cast<size_t>(my_idx)].rc;
-  }
   if (txn_->IsAborted()) return RC::kAbort;
-  if (cfg_.mode == ExecMode::kInteractive && PayRtt(my_idx)) {
-    SimulateRtt(cfg_.interactive_rtt_us);
-  }
+  if (cfg_.mode == ExecMode::kInteractive) SimulateRtt(cfg_.interactive_rtt_us);
   Row* row = index->Get(key);
   if (row == nullptr) return FailAttempt();
-  RC rc = UpdateRmwRow(row, fn, arg);
-  if (rc == RC::kOk && my_idx >= 0) StmtDone(my_idx, rc, nullptr, nullptr);
-  return rc;
+  return UpdateRmwRow(row, fn, arg);
 }
 
 RC TxnHandle::UpdateRmwRow(Row* row, RmwFn fn, void* arg) {
   if (Access* a = FindAccess(row)) {
     if (a->state == AccState::kWaiting ||
         a->state == AccState::kWaitingUpgrade) {
-      // Replay of the suspended statement. The wait was unfused before the
-      // suspension (only unfused waits suspend), so the grant is plain and
-      // the replay-fresh fn/arg apply here, exactly once.
+      // Re-issue of the suspended statement. The wait was unfused before
+      // the suspension (only unfused waits suspend), so the grant is plain
+      // and the re-issued fn/arg apply here, exactly once.
       return FinishWait(a, fn, arg,
                         cfg_.protocol == Protocol::kBamboo && !TailWrite());
     }
@@ -487,8 +423,8 @@ RC TxnHandle::UpdateRmwRow(Row* row, RmwFn fn, void* arg) {
       if (ArmSuspension(SuspKind::kStatement)) return RC::kSuspended;
       return FinishWait(&accesses_.back(), fn, arg, req.retire_now);
     }
-    // Futex mode -- or the grant beat the unfuse, in which case the
-    // promoter applied the fused fn while this frame is alive.
+    // No continuation hook -- or the grant beat the unfuse, in which case
+    // the promoter applied the fused fn while this frame is alive.
     uint64_t waited = WaitForLock(row);
     if (txn_->stats != nullptr) txn_->stats->lock_wait_ns += waited;
     g = lm_->Resume(req, txn_, g.token);
@@ -542,37 +478,20 @@ RC TxnHandle::UpgradeAccess(Access* a, RmwFn fn, void* arg, char** data_out) {
 RC TxnHandle::ReadMany(HashIndex* index, const uint64_t* keys, int n,
                        const char** data_out) {
   MaybeReset();
-  int my_idx = -1;
-  if (ContMode()) {
-    my_idx = stmt_idx_++;
-    if (my_idx < stmts_done_) {
-      const StmtMemo& m = memo_[static_cast<size_t>(my_idx)];
-      for (int i = 0; i < m.out_n; i++) {
-        data_out[i] = memo_out_[m.out_off + static_cast<size_t>(i)];
-      }
-      return m.rc;
-    }
-  }
   if (txn_->IsAborted()) return RC::kAbort;
-  if (n <= 0) {
-    if (my_idx >= 0) StmtDoneBatch(my_idx, data_out, 0);
-    return RC::kOk;
-  }
+  if (n <= 0) return RC::kOk;
   // One simulated round trip for the whole batch: a multi-key statement is
   // exactly what the interactive mode's per-statement RTT amortizes over.
-  if (cfg_.mode == ExecMode::kInteractive && PayRtt(my_idx)) {
-    SimulateRtt(cfg_.interactive_rtt_us);
-  }
+  if (cfg_.mode == ExecMode::kInteractive) SimulateRtt(cfg_.interactive_rtt_us);
 
   if (batch_live_) {
-    // Replay of the suspended batch statement: batch_/pend_/uniq_data_ are
-    // still live; re-enter the submission loop where it parked. Building
-    // the batch again would re-apply nothing here (SH), but the resume
-    // path is shared with UpdateRmwMany, where it must not rebuild.
+    // Re-issue of the suspended batch statement: batch_/pend_/uniq_data_
+    // are still live; re-enter the submission loop where it parked.
+    // Building the batch again would re-apply nothing here (SH), but the
+    // resume path is shared with UpdateRmwMany, where it must not rebuild.
     RC rc = RunBatch(nullptr, nullptr);
     if (rc != RC::kOk) return rc;
     FillReadManyOut(data_out);
-    if (my_idx >= 0) StmtDoneBatch(my_idx, data_out, n);
     return RC::kOk;
   }
 
@@ -601,7 +520,6 @@ RC TxnHandle::ReadMany(HashIndex* index, const uint64_t* keys, int n,
       prev_data = d;
       have_prev = true;
     }
-    if (my_idx >= 0) StmtDoneBatch(my_idx, data_out, n);
     return RC::kOk;
   }
 
@@ -610,7 +528,6 @@ RC TxnHandle::ReadMany(HashIndex* index, const uint64_t* keys, int n,
   // uniq_data_ collects the image per distinct key, in key order.
   pend_.clear();
   uniq_data_.clear();
-  in_batch_build_ = true;
   bool have_prev = false;
   uint64_t prev_key = 0;
   for (const BatchKey& b : batch_) {
@@ -618,10 +535,7 @@ RC TxnHandle::ReadMany(HashIndex* index, const uint64_t* keys, int n,
     prev_key = b.key;
     have_prev = true;
     Row* row = index->Get(b.key);
-    if (row == nullptr) {
-      in_batch_build_ = false;
-      return FailAttempt();
-    }
+    if (row == nullptr) return FailAttempt();
     if (const Access* a = FindAccess(row)) {
       uniq_data_.push_back(a->data);  // repeatable read / read-own-write
       continue;
@@ -633,11 +547,9 @@ RC TxnHandle::ReadMany(HashIndex* index, const uint64_t* keys, int n,
                      /*fn=*/nullptr, /*arg=*/nullptr, /*retire_now=*/false});
     uniq_data_.push_back(buf);
   }
-  in_batch_build_ = false;
   RC rc = SubmitPending(LockType::kSH, nullptr, nullptr);
   if (rc != RC::kOk) return rc;
   FillReadManyOut(data_out);
-  if (my_idx >= 0) StmtDoneBatch(my_idx, data_out, n);
   return RC::kOk;
 }
 
@@ -660,35 +572,26 @@ void TxnHandle::FillReadManyOut(const char** data_out) {
 RC TxnHandle::UpdateRmwMany(HashIndex* index, const uint64_t* keys, int n,
                             RmwFn fn, void* arg) {
   MaybeReset();
-  int my_idx = -1;
-  if (ContMode()) {
-    my_idx = stmt_idx_++;
-    if (my_idx < stmts_done_) return memo_[static_cast<size_t>(my_idx)].rc;
-  }
   if (txn_->IsAborted()) return RC::kAbort;
-  if (n <= 0) {
-    if (my_idx >= 0) StmtDone(my_idx, RC::kOk, nullptr, nullptr);
-    return RC::kOk;
-  }
-  if (cfg_.mode == ExecMode::kInteractive && PayRtt(my_idx)) {
-    SimulateRtt(cfg_.interactive_rtt_us);
-  }
+  if (n <= 0) return RC::kOk;
+  if (cfg_.mode == ExecMode::kInteractive) SimulateRtt(cfg_.interactive_rtt_us);
 
   if (batch_live_) {
-    // Replay of the suspended batch statement. Rebuilding the batch would
-    // re-apply RMWs through the dedup own-write path, so the suspended
-    // submission state stays live and the loop resumes where it parked
-    // (with the replay-fresh fn/arg swapped in for unsubmitted entries).
+    // Re-issue of the suspended batch statement. Rebuilding the batch
+    // would re-apply RMWs through the dedup own-write path, so the
+    // suspended submission state stays live and the loop resumes where it
+    // parked (with the re-issued fn/arg swapped in for unsubmitted
+    // entries).
     RC rc = RunBatch(fn, arg);
     if (rc != RC::kOk) return rc;
-    return RunRmwHits(my_idx, fn, arg);
+    return RunRmwHits(fn, arg);
   }
   if (hits_live_) {
     // Suspended inside the dedup-hit phase (an SH->EX upgrade parked);
     // the batch itself already completed. hits_done_ skips everything
     // already applied; the parked upgrade resolves through the
     // kWaitingUpgrade branch of the scalar path.
-    return RunRmwHits(my_idx, fn, arg);
+    return RunRmwHits(fn, arg);
   }
 
   batch_.clear();
@@ -724,15 +627,14 @@ RC TxnHandle::UpdateRmwMany(HashIndex* index, const uint64_t* keys, int n,
       }
       if (rc != RC::kOk) return rc;
     }
-    if (my_idx >= 0) StmtDone(my_idx, RC::kOk, nullptr, nullptr);
     return RC::kOk;
   }
 
   // Pass 1 (key order): dedup hits are only *collected* here -- they run
   // after the batch submits, in RunRmwHits, where an SH->EX upgrade that
-  // blocks may suspend and replay from an intra-statement cursor. Applying
-  // them inline would block inside the build (in_batch_build_ forbids
-  // arming), which deadlocks an event-loop driver whose other connections
+  // blocks may suspend and resume from an intra-statement cursor. Pass 1
+  // itself never waits, so a hit applied inline would have to block the
+  // build -- deadlocking an event-loop driver whose other connections
   // hold the conflicting locks. New rows are staged for the sharded batch.
   // rmw_reps_ must not reallocate once an entry's address is handed to a
   // request: a promoting thread may apply the coalesced RMW while this
@@ -742,7 +644,6 @@ RC TxnHandle::UpdateRmwMany(HashIndex* index, const uint64_t* keys, int n,
   rmw_reps_.reserve(static_cast<size_t>(n));
   rmw_hits_.clear();
   hits_done_ = 0;
-  in_batch_build_ = true;
   int uniq = 0;
   for (size_t i = 0; i < batch_.size();) {
     const uint64_t key = batch_[i].key;
@@ -750,10 +651,7 @@ RC TxnHandle::UpdateRmwMany(HashIndex* index, const uint64_t* keys, int n,
     while (i + run < batch_.size() && batch_[i + run].key == key) run++;
     i += static_cast<size_t>(run);
     Row* row = index->Get(key);
-    if (row == nullptr) {
-      in_batch_build_ = false;
-      return FailAttempt();
-    }
+    if (row == nullptr) return FailAttempt();
     if (FindAccess(row) != nullptr) {
       rmw_hits_.push_back({row, run});
       continue;
@@ -769,16 +667,15 @@ RC TxnHandle::UpdateRmwMany(HashIndex* index, const uint64_t* keys, int n,
     }
     pend_.push_back(p);
   }
-  in_batch_build_ = false;
   RC rc = SubmitPending(LockType::kEX, fn, arg);
   if (rc != RC::kOk) return rc;
-  return RunRmwHits(my_idx, fn, arg);
+  return RunRmwHits(fn, arg);
 }
 
-RC TxnHandle::RunRmwHits(int my_idx, RmwFn fn, void* arg) {
+RC TxnHandle::RunRmwHits(RmwFn fn, void* arg) {
   // Dedup-hit phase of UpdateRmwMany: own-write applications and SH->EX
   // upgrades, after the batch has fully submitted. hits_done_ is the
-  // replay cursor -- an upgrade that suspends re-enters here and the
+  // resume cursor -- an upgrade that suspends re-enters here and the
   // completed prefix (whose RMWs already landed) is skipped, never
   // re-applied. The in-flight upgrade itself resolves through the scalar
   // path's kWaitingUpgrade branch, which applies the fresh fn at grant.
@@ -804,7 +701,6 @@ RC TxnHandle::RunRmwHits(int my_idx, RmwFn fn, void* arg) {
     hits_done_++;
   }
   hits_live_ = false;
-  if (my_idx >= 0) StmtDone(my_idx, RC::kOk, nullptr, nullptr);
   return RC::kOk;
 }
 
@@ -845,7 +741,7 @@ RC TxnHandle::RunBatch(RmwFn fn, void* arg) {
   const int total = static_cast<int>(pend_.size());
   if (batch_j_ >= 0) {
     // Resuming after a suspension: entries not yet submitted still carry
-    // the suspended frame's dead arg; swap in the replayed statement's
+    // the suspended frame's dead arg; swap in the re-issued statement's
     // before any of them can reach a promoting thread. Coalesced entries
     // keep their stable RmwRepeat home and refresh it in place.
     if (batch_type_ == LockType::kEX && fn != nullptr) {
@@ -984,14 +880,6 @@ bool TxnHandle::TailWrite() const {
 }
 
 void TxnHandle::WriteDone() {
-  if (ContMode()) {
-    int my_idx = stmt_idx_++;
-    if (my_idx < stmts_done_) return;
-    // Retire never blocks, so the statement completes unconditionally;
-    // memoizing up front keeps a replay from retiring an *earlier* write
-    // (the loop below skips already-retired entries).
-    StmtDone(my_idx, RC::kOk, nullptr, nullptr);
-  }
   if (cfg_.protocol != Protocol::kBamboo) return;  // strict 2PL: hold to end
   if (txn_->IsAborted()) return;
   for (auto it = accesses_.rbegin(); it != accesses_.rend(); ++it) {
@@ -1047,11 +935,7 @@ RC TxnHandle::Commit(RC user_rc) {
     Rollback();
     return RC::kAbort;
   }
-  int my_idx = -1;
-  if (ContMode()) my_idx = stmt_idx_++;
-  if (cfg_.mode == ExecMode::kInteractive && PayRtt(my_idx)) {
-    SimulateRtt(cfg_.interactive_rtt_us);
-  }
+  if (cfg_.mode == ExecMode::kInteractive) SimulateRtt(cfg_.interactive_rtt_us);
 
   TxnStatus expected = TxnStatus::kRunning;
   if (!txn_->status.compare_exchange_strong(expected, TxnStatus::kCommitting,
@@ -1072,6 +956,12 @@ RC TxnHandle::Commit(RC user_rc) {
     txn_->detach_complete = &TxnHandle::CompleteDetachedThunk;
     txn_->detach_state.store(1, std::memory_order_relaxed);
     txn_->detached.store(true, std::memory_order_release);
+    // Pairs with the fence before the releaser's claim (LockManager's
+    // last-barrier path; Notify's on the wound path). Without it the store
+    // can still sit in the store buffer when the re-check below reads the
+    // semaphore, while the releaser's exchange reads `false`: both sides
+    // miss and the commit -- and every commit chained behind it -- strands.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     // Re-check: the last barrier may have drained (or a wound landed)
     // before the flag was visible; claim back and finish inline then.
     if (drained()) {
@@ -1091,7 +981,7 @@ RC TxnHandle::Commit(RC user_rc) {
   } else if (!drained()) {
     // Blocking mode (raw handles, or the runner's slot cap).
     uint64_t t0 = NowNs();
-    // Continuation mode parks at once, never spins: on an event loop the
+    // A suspending driver parks at once, never spins: on an event loop the
     // writer we wait for is usually another connection of this same
     // thread, so a spin can only stall it. Whoever drains the semaphore
     // (or wounds us) fires the continuation; its owner finishes via
@@ -1100,7 +990,7 @@ RC TxnHandle::Commit(RC user_rc) {
     if (CanSuspend() && ArmSuspension(SuspKind::kCommit)) {
       return RC::kSuspended;
     }
-    // Futex mode: yield first, commit waits are short; sleep as fallback.
+    // Thread driver: yield first, commit waits are short; sleep as fallback.
     for (int i = 0; i < 4096 && !drained(); i++) std::this_thread::yield();
 #ifdef BAMBOO_DEBUG_STUCK
     while (!drained()) {

@@ -144,9 +144,9 @@ class TxnHandle {
 
   TxnCB* txn() const { return txn_; }
 
-  // --- continuation suspension (SuspendMode::kContinuation). Active only
-  // when the config selects it AND the driver installed TxnCB::susp_fire;
-  // otherwise every entry point keeps its futex-parking behavior.
+  // --- continuation suspension. The driver picks the wait path: a handle
+  // whose TxnCB has a susp_fire hook (the network server's event loops)
+  // suspends; without one (thread workers) every wait futex-parks.
   //
   // A statement that would block records its wait, arms the TxnCB
   // continuation, and returns RC::kSuspended (Commit passes it through,
@@ -155,27 +155,18 @@ class TxnHandle {
   // ResumeSuspended():
   //   kSuspended - spurious wakeup; the wait predicate still fails and
   //                the continuation was re-armed. Park again.
-  //   kPending   - a *statement* wait resolved (grant or wound). Replay
-  //                the transaction body: BeginReplay() + re-run RunTxn
-  //                (completed statements return memoized results), or
-  //                SkipReplay() + re-issue just the blocked statement
-  //                (network server, which drives statements one frame at
-  //                a time).
+  //   kPending   - a *statement* wait resolved (grant or wound). Re-issue
+  //                just the blocked statement with the same arguments; the
+  //                handle's parked-wait state finishes it.
   //   other      - a *commit* wait resolved; the value is the final
   //                Commit result (kOk / kAbort).
   /// True when this handle parked a continuation that has not resolved.
   bool Suspended() const { return susp_kind_ != SuspKind::kNone; }
   RC ResumeSuspended();
-  /// Start a full-body replay (bench runner): statement counters rewind so
-  /// completed statements hit the memo.
-  void BeginReplay() { stmt_idx_ = 0; }
-  /// Re-issue only the blocked statement (network server): the next
-  /// statement executed is treated as the suspended one.
-  void SkipReplay() { stmt_idx_ = stmts_done_; }
 
  private:
   /// kWaitingUpgrade marks a waiting SH->EX conversion (vs. a fresh EX
-  /// wait): a suspended-then-replayed statement must reconstruct the
+  /// wait): a suspended-then-re-issued statement must reconstruct the
   /// resume descriptor with upgrade_of set so the lock manager reports
   /// the grant off the token instead of re-finalizing it.
   enum class AccState { kWaiting, kWaitingUpgrade, kOwner, kRetired,
@@ -222,7 +213,7 @@ class TxnHandle {
     bool retire_now;
     /// Occurrences this entry coalesces (1 = plain). reps > 1 means `arg`
     /// points at an RmwRepeat in rmw_reps_; a mid-batch resume refreshes
-    /// that entry's inner fn/arg with the replayed statement's.
+    /// that entry's inner fn/arg with the re-issued statement's.
     int reps = 1;
   };
 
@@ -248,18 +239,6 @@ class TxnHandle {
   /// What kind of wait the parked continuation covers; picks the resume
   /// predicate in ResumeSuspended.
   enum class SuspKind : uint8_t { kNone, kStatement, kCommit };
-
-  /// Memoized outcome of one completed top-level statement, returned
-  /// verbatim when the statement replays after a suspension. Replay hits
-  /// skip the RTT, ops_done accounting, and all RMW application -- the
-  /// work already happened.
-  struct StmtMemo {
-    RC rc;
-    const char* read_data;  ///< Read: the stable arena copy
-    char* write_data;       ///< Update: the private version image
-    size_t out_off;         ///< ReadMany: span into memo_out_
-    int out_n;
-  };
 
   void MaybeReset();
   char* ArenaAlloc(uint32_t size);
@@ -298,17 +277,9 @@ class TxnHandle {
 
   // --- continuation suspension internals (single-threaded between the
   // suspension and its resume; the driver owns the handle throughout).
-  /// Continuation machinery active for this transaction.
-  bool ContMode() const {
-    return cfg_.suspend_mode == SuspendMode::kContinuation &&
-           txn_->susp_fire != nullptr;
-  }
-  /// Suspension allowed here (mid-pass-1 batch waits fall back to futex:
-  /// resuming inside the dedup scan is not worth the state machine).
-  bool CanSuspend() const { return ContMode() && !in_batch_build_; }
-  /// Pay the interactive-mode RTT at most once per statement across
-  /// replays (futex mode always pays).
-  bool PayRtt(int my_idx);
+  /// The driver installed a continuation hook, so waits suspend instead
+  /// of futex-parking this thread.
+  bool CanSuspend() const { return txn_->susp_fire != nullptr; }
   bool StmtResolved() const;
   bool CommitDrained() const;
   /// Dekker arm: record the suspension, arm the TxnCB, re-check the wait
@@ -318,21 +289,19 @@ class TxnHandle {
   bool ArmSuspension(SuspKind kind);
   /// Re-arm after a spurious fire. True = still suspended.
   bool ReArm();
-  /// Finish a waiting scalar access after its suspension resolved (replay
-  /// hit, or inline after a reclaimed arm). `fn`/`arg` are the statement's
-  /// replay-fresh RMW (null for reads/plain writes); suspended RMW waits
-  /// were unfused, so the grant is plain and the RMW applies here.
+  /// Finish a waiting scalar access after its suspension resolved (the
+  /// re-issued statement, or inline after a reclaimed arm). `fn`/`arg` are
+  /// the statement's live RMW (null for reads/plain writes); suspended RMW
+  /// waits were unfused, so the grant is plain and the RMW applies here.
   RC FinishWait(Access* a, RmwFn fn, void* arg, bool retire_now);
   /// The SubmitMany loop, resumable across suspensions off batch_* state.
   RC RunBatch(RmwFn fn, void* arg);
   /// Dedup-hit phase of UpdateRmwMany (resumable via hits_done_).
-  RC RunRmwHits(int my_idx, RmwFn fn, void* arg);
+  RC RunRmwHits(RmwFn fn, void* arg);
   /// Finish the waiting batch grant `j` (mirror of FinishWait).
   RC FinishBatchWait(int j, RmwFn fn, void* arg);
   /// Caller-order ReadMany output fill from batch_/uniq_data_.
   void FillReadManyOut(const char** data_out);
-  void StmtDone(int idx, RC rc, const char* rd, char* wd);
-  void StmtDoneBatch(int idx, const char** outs, int n);
   /// Commit's point of no return onward (CAS to kCommitted, stamp, log,
   /// release); shared by the blocking path and the commit-wait resume.
   RC CommitTail();
@@ -390,12 +359,6 @@ class TxnHandle {
   // --- continuation suspension state (reset per attempt by MaybeReset).
   SuspKind susp_kind_ = SuspKind::kNone;
   uint64_t susp_start_ns_ = 0;  ///< park time; charged to stats at resume
-  /// Statement cursor / high-water mark: a statement whose index is below
-  /// stmts_done_ replays from the memo. BeginReplay rewinds the cursor.
-  int stmt_idx_ = 0;
-  int stmts_done_ = 0;
-  int rtts_paid_ = 0;  ///< statements whose interactive RTT was simulated
-  bool in_batch_build_ = false;  ///< inside a batch pass 1 (no suspension)
   /// Suspended-batch resume state: RunBatch re-enters at batch_next_ after
   /// finishing the waiting grant batch_j_ (-1 = none pending).
   bool batch_live_ = false;
@@ -404,13 +367,11 @@ class TxnHandle {
   int batch_j_ = -1;
   bool batch_unfused_ = false;
   /// Suspended dedup-hit resume state for UpdateRmwMany: hits_done_ is the
-  /// count of fully applied hits (the replay cursor); hits_live_ marks a
+  /// count of fully applied hits (the resume cursor); hits_live_ marks a
   /// statement suspended inside RunRmwHits (batch already submitted).
   std::vector<RmwHit> rmw_hits_;
   int hits_done_ = 0;
   bool hits_live_ = false;
-  std::vector<StmtMemo> memo_;
-  std::vector<const char*> memo_out_;  ///< ReadMany memo output spans
 
   // Chunked arena for transaction-local row copies; pointers are stable
   // until the next attempt. Rows larger than a chunk get dedicated

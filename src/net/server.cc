@@ -419,8 +419,7 @@ void Loop::DrainResumes() {
     }
     if (rc == RC::kPending) {
       // A statement wait resolved: re-issue exactly the blocked statement
-      // (the server drives one statement per frame, so no body replay).
-      c->handle.SkipReplay();
+      // (the server drives one statement per frame).
       ExecStatement(c);
     } else {
       // A commit wait resolved; rc is the final commit verdict.

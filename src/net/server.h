@@ -21,9 +21,10 @@ struct Loop;  // internal per-event-loop state (server.cc)
 /// connections over one engine worker thread. A connection's transaction
 /// state machine is driven one frame at a time through the batch API (one
 /// frame = one ReadMany/UpdateRmwMany round trip); a statement that blocks
-/// suspends the transaction (SuspendMode::kContinuation) instead of the
-/// loop -- the lock table's grant/wound paths push the continuation onto
-/// the loop's ResumeQueue and poke its eventfd, and the loop re-issues the
+/// suspends the transaction instead of the loop (every connection's TxnCB
+/// carries the loop's susp_fire hook, which is what selects suspension):
+/// the lock table's grant/wound paths push the continuation onto the
+/// loop's ResumeQueue and poke its eventfd, and the loop re-issues the
 /// frame's statement when it drains. This is what bounds the worker count:
 /// 10k+ connections never need more threads than `num_threads + 1`.
 ///
@@ -41,10 +42,7 @@ class NetServer {
     int max_conns = 65536;     ///< accept backstop per loop
   };
 
-  /// `cfg.num_threads` is the event-loop (= engine worker) count;
-  /// `cfg.suspend_mode` should be kContinuation for the bounded-worker
-  /// property (futex mode still works: a blocked statement parks the loop,
-  /// serializing its connections).
+  /// `cfg.num_threads` is the event-loop (= engine worker) count.
   NetServer(const Config& cfg, const Options& opts);
   ~NetServer();
 

@@ -10,7 +10,6 @@
 #include "src/common/platform.h"
 #include "src/db/checkpoint.h"
 #include "src/db/database.h"
-#include "src/db/suspend.h"
 #include "src/db/wal.h"
 
 namespace bamboo {
@@ -30,7 +29,6 @@ struct TxnSlot {
   TxnCB cb;
   TxnHandle handle;
   uint64_t seed = 0;
-  uint64_t start_ns = 0;  ///< attempt start (continuation-mode abort_ns)
 
   TxnSlot(Database* db, ThreadStats* stats, bool detach) : handle(db, &cb) {
     cb.stats = stats;
@@ -61,9 +59,6 @@ struct WorkerCtx {
   ThreadStats stats;
   std::atomic<uint32_t> wake_word{0};
   std::vector<std::unique_ptr<TxnSlot>> slots;
-  /// Continuation mode: lock-table release paths push resolved suspensions
-  /// here; this worker is the only consumer.
-  ResumeQueue rqueue;
 };
 
 void WorkerLoop(Database* db, Workload* workload, SharedState* shared,
@@ -292,196 +287,6 @@ void WorkerLoop(Database* db, Workload* workload, SharedState* shared,
   }
 }
 
-/// SuspendMode::kContinuation worker: instead of futex-parking on a blocked
-/// lock, the transaction arms a continuation and the worker moves on to
-/// another slot (or a fresh seed). The lock table's grant/wound/drain paths
-/// push the TxnCB onto this worker's ResumeQueue; the worker drains it,
-/// replays resolved statements off the memo, and finishes commit waits via
-/// CommitTail. One worker multiplexes up to kContSlots in-flight
-/// transactions -- the bounded-worker-count property the network server
-/// builds on. Detached commits are off: the suspension path subsumes them
-/// (a commit-barrier wait parks the txn, not the thread).
-void ContWorkerLoop(Database* db, Workload* workload, SharedState* shared,
-                    int thread_id, WorkerCtx* ctx) {
-  constexpr size_t kContSlots = 64;
-  ThreadStats& stats = ctx->stats;
-  ResumeQueue& rq = ctx->rqueue;
-  Rng rng(0xb4c0ull * 2654435761u + static_cast<uint64_t>(thread_id) + 1);
-  const bool keep_ts_on_retry =
-      !(db->config().policy_mode == PolicyMode::kAdaptive &&
-        db->config().protocol == Protocol::kBamboo);
-  Wal* wal = db->wal();
-
-  struct Retry {
-    uint64_t seed;
-    uint64_t ts;
-    bool raw_suppressed;
-  };
-  std::vector<std::unique_ptr<TxnSlot>>& slots = ctx->slots;
-  std::vector<TxnSlot*> free_slots;
-  std::vector<Retry> retries;
-  bool measuring_seen = false;
-  size_t in_flight = 0;  // suspended transactions owned by this worker
-
-  struct PendingAck {
-    uint64_t epoch;
-    bool had_deps;
-    bool measured;
-  };
-  std::deque<PendingAck> acks;
-  auto push_ack = [&](TxnCB& cb) {
-    PendingAck p{cb.log_ack_epoch, cb.deps_taken > 0, measuring_seen};
-    if (p.measured && p.had_deps && wal->durable_epoch() < p.epoch) {
-      stats.commits_awaiting_dep++;
-    }
-    acks.push_back(p);
-  };
-  auto drain_acks = [&] {
-    if (acks.empty()) return;
-    uint64_t d = wal->durable_epoch();
-    bool failed = wal->failed();
-    while (!acks.empty() && (acks.front().epoch <= d || failed)) {
-      const PendingAck& p = acks.front();
-      if (p.measured && p.epoch <= d) {
-        stats.commits++;
-        stats.durable_lag_epochs += d - p.epoch;
-      } else if (p.measured) {
-        stats.commits_ack_failed++;
-      }
-      acks.pop_front();
-    }
-  };
-
-  // Settle a final (non-suspended) outcome: count it, requeue the seed on
-  // an abort (keeping ts + raw suppression like the futex loop's requeued
-  // cascade victims), return the slot.
-  auto finish = [&](TxnSlot* slot, RC rc, bool counted) {
-    if (rc == RC::kOk) {
-      if (counted) {
-        if (wal != nullptr) {
-          push_ack(slot->cb);
-        } else {
-          stats.commits++;
-        }
-      }
-    } else if (rc == RC::kUserAbort) {
-      if (counted) stats.user_aborts++;
-    } else if (rc == RC::kReadOnlyMode) {
-      if (counted) stats.readonly_rejects++;
-    } else {
-      if (counted) {
-        stats.aborts++;
-        stats.abort_ns += NowNs() - slot->start_ns;
-      }
-      if (!shared->stop.load(std::memory_order_acquire)) {
-        retries.push_back({slot->seed,
-                           slot->cb.ts.load(std::memory_order_relaxed),
-                           slot->cb.raw_suppressed});
-      }
-    }
-    free_slots.push_back(slot);
-  };
-
-  auto drain_queue = [&](bool counted) {
-    TxnCB* t = rq.PopAll();
-    while (t != nullptr) {
-      // Read the link first: resuming may re-arm and re-push the node,
-      // which overwrites ready_next.
-      TxnCB* next = t->ready_next;
-      TxnSlot* slot = static_cast<TxnSlot*>(t->susp_user);
-      stats.continuations_fired++;
-      RC rc = slot->handle.ResumeSuspended();
-      if (rc == RC::kPending) {
-        // A statement wait resolved: replay the body. Completed statements
-        // return memoized results; the suspended one finishes its grant.
-        slot->handle.BeginReplay();
-        Rng txn_rng(slot->seed);
-        rc = workload->RunTxn(&slot->handle, &txn_rng);
-      }
-      if (rc != RC::kSuspended) {
-        in_flight--;
-        finish(slot, rc, counted);
-      }
-      t = next;
-    }
-  };
-
-  while (!shared->stop.load(std::memory_order_acquire)) {
-    if (!measuring_seen && shared->measuring.load(std::memory_order_acquire)) {
-      stats.Reset();
-      measuring_seen = true;
-    }
-    drain_queue(/*counted=*/true);
-    if (wal != nullptr) drain_acks();
-
-    TxnSlot* slot = nullptr;
-    if (!free_slots.empty()) {
-      slot = free_slots.back();
-      free_slots.pop_back();
-    } else if (slots.size() < kContSlots) {
-      slots.push_back(std::make_unique<TxnSlot>(db, &stats, /*detach=*/false));
-      TxnSlot* s = slots.back().get();
-      s->cb.owner_wake = &ctx->wake_word;
-      s->cb.susp_fire = ResumeQueue::FireThunk;
-      s->cb.susp_ctx = &rq;
-      s->cb.susp_user = s;
-      slot = s;
-    } else {
-      // Every slot suspended: park until a continuation fires (or the
-      // stop path kicks the queue).
-      rq.WaitNonEmpty();
-      continue;
-    }
-
-    uint64_t txn_seed;
-    uint64_t keep_ts = 0;
-    bool keep_suppressed = false;
-    if (!retries.empty()) {
-      txn_seed = retries.back().seed;
-      keep_ts = retries.back().ts;
-      keep_suppressed = retries.back().raw_suppressed;
-      retries.pop_back();
-    } else {
-      txn_seed = rng.Next();
-    }
-    slot->seed = txn_seed;
-    slot->cb.txn_seq.fetch_add(1, std::memory_order_relaxed);
-    slot->cb.ResetForAttempt(/*keep_ts=*/false);
-    if (keep_ts != 0 && keep_ts_on_retry) {
-      slot->cb.ts.store(keep_ts, std::memory_order_relaxed);
-      slot->cb.raw_suppressed = keep_suppressed;
-    }
-    db->cc()->Begin(&slot->cb);
-    slot->start_ns = NowNs();
-    Rng txn_rng(txn_seed);
-    RC rc = workload->RunTxn(&slot->handle, &txn_rng);
-    if (rc == RC::kSuspended) {
-      in_flight++;  // parked; resumed off the queue
-      continue;
-    }
-    finish(slot, rc, /*counted=*/true);
-  }
-
-  // Drain: every suspended transaction resolves as the cluster of workers
-  // keeps draining (the protocols are deadlock-free, so every wait chain
-  // bottoms out at a runnable transaction; its completion fires the next).
-  // Outcomes landing here are outside the measured window: not counted.
-  while (in_flight > 0) {
-    drain_queue(/*counted=*/false);
-    if (in_flight > 0) rq.WaitNonEmpty();
-  }
-
-  if (wal != nullptr) {
-    while (!acks.empty()) {
-      WaitResult wr = wal->WaitDurable(acks.front().epoch);
-      size_t before = acks.size();
-      drain_acks();
-      if (wr != WaitResult::kDurable && acks.size() == before) break;
-      if (acks.size() == before) break;
-    }
-  }
-}
-
 }  // namespace
 
 RunResult LoadAndRun(const Config& cfg, Workload* workload) {
@@ -503,11 +308,10 @@ RunResult LoadAndRun(const Config& cfg, Workload* workload) {
   std::vector<std::unique_ptr<WorkerCtx>> ctxs;
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(n));
-  const bool cont = cfg.suspend_mode == SuspendMode::kContinuation;
   for (int i = 0; i < n; i++) {
     ctxs.push_back(std::make_unique<WorkerCtx>());
-    threads.emplace_back(cont ? ContWorkerLoop : WorkerLoop, &db, workload,
-                         &shared, i, ctxs.back().get());
+    threads.emplace_back(WorkerLoop, &db, workload, &shared, i,
+                         ctxs.back().get());
   }
 
   auto sleep_s = [](double s) {
@@ -520,11 +324,6 @@ RunResult LoadAndRun(const Config& cfg, Workload* workload) {
   sleep_s(cfg.duration_seconds);
   shared.stop.store(true, std::memory_order_release);
   uint64_t t_end = NowNs();
-  // Continuation workers may be parked on their (empty) resume queues;
-  // the kick makes them re-check the stop flag.
-  if (cont) {
-    for (auto& c : ctxs) c->rqueue.Kick();
-  }
   for (auto& t : threads) t.join();
 
   RunResult result;

@@ -1,8 +1,9 @@
 // SH -> EX upgrades through grant tokens: a reader that later updates the
 // same row converts its held SH request in place -- the read never loses
 // protection -- under all of BAMBOO / wound-wait / wait-die / no-wait,
-// including the wounded-mid-upgrade path and acquires blocked behind a
-// pending upgrade (the commit-order deadlock the block rule prevents).
+// including the wounded-mid-upgrade path, acquires blocked behind a
+// pending upgrade (the commit-order deadlock the block rule prevents), and
+// a younger upgrade dying rather than jumping an older waiter.
 #include <atomic>
 #include <cstring>
 #include <thread>
@@ -400,6 +401,50 @@ void TestAcquireBlockedBehindPendingUpgrade() {
   f.lm->Release(&f.row, glr.token, true);
 }
 
+/// Wound-wait never lets an older transaction wait for a younger one, and
+/// upgrades are granted ahead of every waiter. So a younger reader's
+/// upgrade must die when an older transaction already waits on the row.
+/// Here O (oldest) waits for the wounded writer Y to roll back; if U's
+/// upgrade pended, Y's rollback would grant it first and O would sit
+/// behind U. With U's commit later gated on O (a barrier, or a lock O
+/// holds), that cycle hung the 16-thread shard stress.
+void TestUpgradeYieldsToOlderWaiter() {
+  Fixture f(Protocol::kBamboo, /*raw_read=*/false);
+  TxnCB older, up_txn, writer;
+  ThreadStats s1, s2, s3;
+  older.stats = &s1;
+  up_txn.stats = &s2;
+  writer.stats = &s3;
+  BeginTxn(&older, 5);
+  BeginTxn(&up_txn, 10);
+  BeginTxn(&writer, 20);
+
+  AccessGrant gu = f.Sh(&f.row, &up_txn);  // retired at once (Opt 1)
+  CHECK(gu.rc == AcqResult::kGranted);
+  AccessGrant gw = f.Ex(&f.row, &writer);  // behind U's read, a barrier
+  CHECK(gw.rc == AcqResult::kGranted);
+  AccessGrant go = f.Sh(&f.row, &older);   // wounds Y, waits for rollback
+  CHECK(go.rc == AcqResult::kWait);
+  CHECK(writer.IsAborted());
+
+  AccessGrant up = f.Upgrade(&f.row, &up_txn, gu.token);
+  CHECK(up.rc == AcqResult::kAbort);
+  CHECK_EQ(f.lm->OwnerCount(&f.row) + f.lm->RetiredCount(&f.row), 2u);
+
+  // Y's rollback now promotes O (SH beside U's read), not an upgrade.
+  f.lm->Release(&f.row, gw.token, false);
+  CHECK_EQ(older.lock_granted.load(), 1u);
+  f.lm->Release(&f.row, gu.token, false);
+  AccessRequest rr;
+  rr.row = &f.row;
+  rr.type = LockType::kSH;
+  rr.read_buf = f.buf;
+  AccessGrant gor = f.lm->Resume(rr, &older, go.token);
+  CHECK(gor.rc == AcqResult::kGranted);
+  older.status.store(TxnStatus::kCommitted);
+  f.lm->Release(&f.row, gor.token, true);
+}
+
 /// Concurrent upgrade stress: every transaction Reads the shared counter,
 /// then Updates it (an SH->EX upgrade under contention -- dueling
 /// upgrades, wounds mid-upgrade, waiter blocking behind pending upgrades,
@@ -492,6 +537,7 @@ int main() {
   RUN_TEST(TestWoundedMidUpgrade);
   RUN_TEST(TestBambooUpgradeBehindRetiredWriter);
   RUN_TEST(TestAcquireBlockedBehindPendingUpgrade);
+  RUN_TEST(TestUpgradeYieldsToOlderWaiter);
   RUN_TEST(TestConcurrentUpgradeStress);
   return bamboo::test::Summary("lock_upgrade_test");
 }

@@ -28,7 +28,6 @@ using netproto::Status;
 Config ServerConfig() {
   Config cfg;
   cfg.protocol = Protocol::kBamboo;
-  cfg.suspend_mode = SuspendMode::kContinuation;
   cfg.num_threads = 2;
   return cfg;
 }

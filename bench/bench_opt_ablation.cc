@@ -7,6 +7,7 @@
 //   opt3: read-after-write served from the preceding version (no wound)
 //   opt4: dynamic timestamp assignment on first conflict
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <random>
@@ -67,58 +68,20 @@ void RunShardSweep(const bamboo::bench::Options& opt) {
             "sweep shows where the contention actually stops falling");
 }
 
-/// Adaptive contention policy vs each fixed protocol on the mixed-
-/// temperature synthetic mix (one pathological hotspot + warm band + cold
-/// writes/reads). Row names are stable awk keys (MIXED_<PROTOCOL>) for
-/// scripts/bench_snapshot.sh; the ADAPTIVE row reports its tier activity.
-void RunMixedTemperature(const bamboo::bench::Options& opt) {
-  using namespace bamboo;
-  using namespace bamboo::bench;
-  TablePrinter tbl(
-      "Mixed-temperature synthetic, adaptive policy vs fixed protocols",
-      {"config", "throughput(txn/s)", "abort_rate", "dirty_reads/txn",
-       "cascades/txn", "heats", "cools", "cold_rows", "hot_rows",
-       "breakdown(ms/txn)"});
-  const int threads = opt.threads > 0 ? opt.threads : 8;
-  auto run_one = [&](Protocol p, PolicyMode mode) {
-    Config cfg = opt.BaseConfig();
-    cfg.protocol = p;
-    cfg.policy_mode = mode;
-    cfg.num_threads = threads;
-    cfg.synth_mixed_temp = true;
-    cfg.synth_ops_per_txn = 16;
-    cfg.synth_num_hotspots = 1;
-    RunResult r = RunSynthetic(cfg);
-    auto per_txn = [&r](uint64_t n) {
-      return r.total.commits > 0 ? static_cast<double>(n) /
-                                       static_cast<double>(r.total.commits)
-                                 : 0.0;
-    };
-    tbl.AddRow({std::string("MIXED_") + ProtocolName(cfg), FmtThroughput(r),
-                Fmt(r.AbortRate(), 3), Fmt(per_txn(r.total.dirty_reads), 2),
-                Fmt(per_txn(r.total.cascade_victims), 2),
-                std::to_string(r.total.policy_heats),
-                std::to_string(r.total.policy_cools),
-                std::to_string(r.total.policy_cold_rows),
-                std::to_string(r.total.policy_hot_rows), FmtBreakdown(r)});
-  };
-  run_one(Protocol::kBamboo, PolicyMode::kAdaptive);
-  for (Protocol p : StandardProtocols()) run_one(p, PolicyMode::kFixed);
-  tbl.Print("adaptive should match full Bamboo on the hotspot while "
-            "skipping retire bookkeeping on the cold majority");
-}
-
 /// Durability under fault injection: the clean logged baseline, the same
-/// mix with a 1% probabilistic fsync fault (retry/backoff must absorb it:
-/// zero failed acks, health back to healthy), and the checkpointing run
-/// (pause and byte cost of the fuzzy snapshot). Needs BB_LOG_DIR; row
-/// names are stable awk keys (DUR_*) for scripts/bench_snapshot.sh.
-void RunDurabilityFaults(const bamboo::bench::Options& opt) {
+/// mix with an fsync fault on every 4th epoch write (retry/backoff must
+/// absorb it: zero failed acks, health back to healthy), and the
+/// checkpointing run (pause and byte cost of the fuzzy snapshot). Needs
+/// BB_LOG_DIR; row names are stable awk keys (DUR_*) for
+/// scripts/bench_snapshot.sh. Returns false (after printing the table) when
+/// a row proves nothing: the fault never fired or was not absorbed, or no
+/// checkpoint completed.
+bool RunDurabilityFaults(const bamboo::bench::Options& opt) {
   using namespace bamboo;
   using namespace bamboo::bench;
   if (opt.log_dir.empty()) {
     std::printf("\n== Durability fault table skipped: set BB_LOG_DIR ==\n");
-    return;
+    return true;
   }
   TablePrinter tbl(
       "Durability faults, Bamboo logged YCSB theta=0.9 rr=0.5",
@@ -126,6 +89,7 @@ void RunDurabilityFaults(const bamboo::bench::Options& opt) {
        "ro_rejects", "ckpts", "ckpt_kB", "pause_us_max", "trunc_segs",
        "health"});
   const int threads = opt.threads > 0 ? opt.threads : 8;
+  std::vector<std::string> failures;
   auto run_one = [&](const char* name, const char* fault, bool ckpt) {
     Config cfg = opt.BaseConfig();
     cfg.protocol = Protocol::kBamboo;
@@ -139,6 +103,19 @@ void RunDurabilityFaults(const bamboo::bench::Options& opt) {
     if (fault != nullptr) Failpoints::ArmForTest(fault);
     RunResult r = RunYcsb(cfg);
     if (fault != nullptr) Failpoints::DisarmForTest("wal_fsync_error");
+    const auto health = static_cast<WalHealth>(r.total.health_state);
+    if (fault != nullptr) {
+      if (r.total.wal_retries == 0) failures.push_back("fault never fired");
+      if (r.total.commits_ack_failed > 0) {
+        failures.push_back("commits lost their durable ack");
+      }
+      if (health != WalHealth::kHealthy) {
+        failures.push_back(std::string("health ") + WalHealthName(health));
+      }
+    }
+    if (ckpt && r.total.ckpt_count == 0) {
+      failures.push_back("no checkpoint completed");
+    }
     tbl.AddRow({name, FmtThroughput(r),
                 std::to_string(r.total.wal_retries),
                 std::to_string(r.total.commits_ack_failed),
@@ -147,14 +124,21 @@ void RunDurabilityFaults(const bamboo::bench::Options& opt) {
                 Fmt(static_cast<double>(r.total.ckpt_bytes) / 1024.0, 1),
                 std::to_string(r.total.ckpt_pause_us_max),
                 std::to_string(r.total.wal_truncated_segments),
-                WalHealthName(static_cast<WalHealth>(r.total.health_state))});
+                WalHealthName(health)});
   };
   run_one("DUR_CLEAN", nullptr, false);
-  run_one("DUR_FAULTY", "wal_fsync_error:p=0.01", false);
+  // Deterministic trigger: at the default 10ms epoch and window a run
+  // sees about a dozen injected faults, and a retry (the next evaluation)
+  // never fails.
+  run_one("DUR_FAULTY", "wal_fsync_error:every=4", false);
   run_one("DUR_CKPT", nullptr, true);
   tbl.Print("the faulty run must absorb every transient fsync error "
             "(ack_failed=0, health=healthy); the checkpoint run prices the "
             "fuzzy snapshot in pause and bytes");
+  for (const std::string& f : failures) {
+    std::fprintf(stderr, "durability fault table FAILED: %s\n", f.c_str());
+  }
+  return failures.empty();
 }
 
 /// Suspension through the wire-protocol server: a loopback run whose
@@ -256,18 +240,11 @@ int main() {
     return 0;
   }
 
-  // BB_MIXED_ONLY=1: just the adaptive-vs-fixed mixed-temperature table.
-  if (std::getenv("BB_MIXED_ONLY") != nullptr) {
-    RunMixedTemperature(opt);
-    return 0;
-  }
-
   // BB_DUR_ONLY=1: just the durability fault-injection table (needs
   // BB_LOG_DIR; bench_snapshot.sh uses this for the durability_faults
-  // section).
+  // section). Exits nonzero when the table's checks fail.
   if (std::getenv("BB_DUR_ONLY") != nullptr) {
-    RunDurabilityFaults(opt);
-    return 0;
+    return RunDurabilityFaults(opt) ? 0 : 1;
   }
 
   // BB_SUSP_ONLY=1: just the loopback suspension row (bench_snapshot.sh uses
@@ -328,8 +305,7 @@ int main() {
             "read-write mixes (RAW aborts), opt4 reduces first-conflict "
             "wounds");
   RunShardSweep(opt);
-  RunMixedTemperature(opt);
-  RunDurabilityFaults(opt);
+  const bool dur_ok = RunDurabilityFaults(opt);
   RunSuspension(opt);
-  return 0;
+  return dur_ok ? 0 : 1;
 }

@@ -5,7 +5,7 @@
 # 16 shards, plus a Zipfian multi-shard YCSB point), and the lock-table
 # microbenchmarks, including the release-path primitives the grant-token
 # API targets (BM_RetiredDependencyChain) and the multi-key batch read
-# (BM_MultiGet16), and the mixed-temperature adaptive-policy comparison.
+# (BM_MultiGet16).
 # Usage: scripts/bench_snapshot.sh [build-dir] [out.json]
 set -eu
 
@@ -45,21 +45,6 @@ ycsb_out=$(BB_BENCH_DURATION="$DUR" BB_BENCH_WARMUP="$WARM" \
 ycsb_16t_1s=$(printf '%s\n' "$ycsb_out" | awk '$1=="BAMBOO_z09_16t_1s"'" $to_num")
 ycsb_16t_16s=$(printf '%s\n' "$ycsb_out" | awk '$1=="BAMBOO_z09_16t_16s"'" $to_num")
 
-# Mixed-temperature synthetic (one pathological hotspot + warm band + cold
-# majority, 8 threads): the adaptive contention policy against every fixed
-# protocol. SILO is OCC and bypasses the lock table entirely -- a different
-# class, reported for scale, not as the adaptive target.
-mixed_out=$(BB_BENCH_DURATION="$DUR" BB_BENCH_WARMUP="$WARM" \
-            BB_MIXED_ONLY=1 "$BUILD_DIR/bench_opt_ablation")
-mx_adaptive=$(printf '%s\n' "$mixed_out" | awk '$1=="MIXED_ADAPTIVE"'" $to_num")
-mx_bamboo=$(printf '%s\n' "$mixed_out" | awk '$1=="MIXED_BAMBOO"'" $to_num")
-mx_ww=$(printf '%s\n' "$mixed_out" | awk '$1=="MIXED_WOUND_WAIT"'" $to_num")
-mx_wd=$(printf '%s\n' "$mixed_out" | awk '$1=="MIXED_WAIT_DIE"'" $to_num")
-mx_nw=$(printf '%s\n' "$mixed_out" | awk '$1=="MIXED_NO_WAIT"'" $to_num")
-mx_silo=$(printf '%s\n' "$mixed_out" | awk '$1=="MIXED_SILO"'" $to_num")
-mx_adaptive_abort=$(printf '%s\n' "$mixed_out" | \
-                    awk '$1=="MIXED_ADAPTIVE" {print $3+0; exit}')
-
 # Same hotspot with the WAL on (group-commit epoch at its default 10ms):
 # the logging tax on the headline number, and the durability counters.
 LOG_DIR=$(mktemp -d)
@@ -70,9 +55,11 @@ bamboo_log_tput=$(printf '%s\n' "$log_out" | awk '$1=="BAMBOO"'" $to_num")
 ww_log_tput=$(printf '%s\n' "$log_out" | awk '$1=="WOUND_WAIT"'" $to_num")
 
 # Durability fault injection (DUR_* rows from bench_opt_ablation): the
-# clean logged baseline, a 1% probabilistic fsync fault (retry/backoff
-# must absorb it: ack_failed stays 0 and health returns to HEALTHY), and
-# the checkpointing run's pause/byte cost.
+# clean logged baseline, an fsync fault on every 4th epoch write
+# (retry/backoff must absorb it: ack_failed stays 0 and health returns to
+# HEALTHY), and the checkpointing run's pause/byte cost. The bench exits
+# nonzero when the fault never fired, was not absorbed, or no checkpoint
+# completed, which fails the snapshot (set -e).
 dur_out=$(BB_BENCH_DURATION="$DUR" BB_BENCH_WARMUP="$WARM" \
           BB_LOG_DIR="$LOG_DIR/dur" BB_DUR_ONLY=1 \
           "$BUILD_DIR/bench_opt_ablation")
@@ -160,22 +147,6 @@ cat > "$OUT" <<EOF
     "bamboo_1shard": ${ycsb_16t_1s:-null},
     "bamboo_16shards": ${ycsb_16t_16s:-null}
   },
-  "mixed_temperature_8t": {
-    "note": "adaptive contention policy vs fixed protocols; SILO is OCC (no lock table) and is a different class, not the adaptive target",
-    "adaptive_txn_per_s": ${mx_adaptive:-null},
-    "adaptive_abort_rate": ${mx_adaptive_abort:-null},
-    "bamboo_txn_per_s": ${mx_bamboo:-null},
-    "wound_wait_txn_per_s": ${mx_ww:-null},
-    "wait_die_txn_per_s": ${mx_wd:-null},
-    "no_wait_txn_per_s": ${mx_nw:-null},
-    "silo_txn_per_s": ${mx_silo:-null},
-    "adaptive_vs_best_fixed_lock_ratio": $(awk -v a="${mx_adaptive:-0}" \
-        -v b="${mx_bamboo:-0}" -v w="${mx_ww:-0}" -v d="${mx_wd:-0}" \
-        -v n="${mx_nw:-0}" 'BEGIN {
-          best = b; if (w > best) best = w; if (d > best) best = d;
-          if (n > best) best = n;
-          if (best > 0) printf "%.3f", a / best; else print "null" }')
-  },
   "single_hotspot_8t_logged": {
     "bamboo_txn_per_s": ${bamboo_log_tput:-null},
     "wound_wait_txn_per_s": ${ww_log_tput:-null},
@@ -184,7 +155,7 @@ cat > "$OUT" <<EOF
         'BEGIN { if (b > 0) printf "%.3f", a / b; else print "null" }')
   },
   "durability_faults": {
-    "note": "logged YCSB theta=0.9 rr=0.5; faulty run injects wal_fsync_error with p=0.01 (bounded retry/backoff must absorb it); ckpt run checkpoints every 50ms",
+    "note": "logged YCSB theta=0.9 rr=0.5; faulty run injects wal_fsync_error on every 4th epoch write (bounded retry/backoff must absorb it); ckpt run checkpoints every 50ms",
     "clean_txn_per_s": ${dur_clean_tput:-null},
     "faulty_txn_per_s": ${dur_faulty_tput:-null},
     "faulty_wal_retries": ${dur_faulty_retries:-null},

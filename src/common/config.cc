@@ -1,7 +1,6 @@
 #include "src/common/config.h"
 
 #include <cstdlib>
-#include <cstring>
 
 namespace bamboo {
 
@@ -15,22 +14,6 @@ int DefaultLockShards() {
     long parsed = std::strtol(v, &end, 10);
     if (end == v || parsed < 1) return 1024;
     return parsed > 65536 ? 65536 : static_cast<int>(parsed);
-  }();
-  return cached;
-}
-
-PolicyMode DefaultPolicyMode() {
-  // Latched once, same reason as DefaultLockShards: the CI matrix sets
-  // BB_POLICY_MODE per process, and mixing modes across Databases built
-  // from default Configs would make test behavior depend on construction
-  // order.
-  static const PolicyMode cached = [] {
-    const char* v = std::getenv("BB_POLICY_MODE");
-    if (v != nullptr &&
-        (std::strcmp(v, "adaptive") == 0 || std::strcmp(v, "ADAPTIVE") == 0)) {
-      return PolicyMode::kAdaptive;
-    }
-    return PolicyMode::kFixed;
   }();
   return cached;
 }
@@ -65,14 +48,6 @@ const char* WalHealthName(WalHealth h) {
   return "UNKNOWN";
 }
 
-const char* ProtocolName(const Config& cfg) {
-  if (cfg.policy_mode == PolicyMode::kAdaptive &&
-      cfg.protocol == Protocol::kBamboo) {
-    return "ADAPTIVE";
-  }
-  return ProtocolName(cfg.protocol);
-}
-
 std::string Config::Validate(std::vector<std::string>* warnings) const {
   // Hard errors: configurations that cannot run correctly.
   if (num_threads < 0) return "num_threads must be >= 0";
@@ -81,9 +56,6 @@ std::string Config::Validate(std::vector<std::string>* warnings) const {
   }
   if (bb_delta < 0.0 || bb_delta > 1.0) {
     return "bb_delta must be within [0, 1]";
-  }
-  if (policy_warm_threshold >= policy_hot_threshold) {
-    return "policy_warm_threshold must be < policy_hot_threshold";
   }
   if (log_retry_max < 0) return "log_retry_max must be >= 0";
   if (log_retry_backoff_us < 0.0) return "log_retry_backoff_us must be >= 0";
@@ -99,11 +71,6 @@ std::string Config::Validate(std::vector<std::string>* warnings) const {
       (bb_opt_read_retire || bb_opt_no_retire_tail || bb_opt_raw_read)) {
     warn(std::string("bb_opt_* switches are ignored under ") +
          ProtocolName(protocol) + " (retire/raw-read paths are Bamboo-only)");
-  }
-  if (policy_mode == PolicyMode::kAdaptive && protocol != Protocol::kBamboo) {
-    warn(std::string("policy_mode=adaptive is normalized to fixed under ") +
-         ProtocolName(protocol) +
-         " (the adaptive selector only tiers Bamboo's retire machinery)");
   }
   if (log_enabled && protocol == Protocol::kSilo) {
     warn("log_enabled is ignored under SILO (the WAL rides the lock-based "

@@ -20,25 +20,8 @@ enum class Protocol {
 
 const char* ProtocolName(Protocol p);
 
-/// How the lock manager picks a contention policy per tuple.
-///
-///   kFixed    - every entry runs the Config protocol's descriptor
-///               (the five classic protocols, unchanged behavior).
-///   kAdaptive - Bamboo only: each entry tracks a conflict temperature and
-///               is admitted under the tier's descriptor -- cold rows run
-///               plain 2PL with retire skipped entirely (no cascade
-///               bookkeeping), warm rows run full Bamboo with the
-///               Section-3.5 opts, pathological rows escalate the wound
-///               rule and force fused-RMW retirement. With a non-Bamboo
-///               protocol kAdaptive is normalized back to kFixed (warned
-///               by Config::Validate), so a process-wide BB_POLICY_MODE
-///               default composes with protocol sweeps.
+/// Kept only for the benchmark programs; see Config::policy_mode.
 enum class PolicyMode { kFixed, kAdaptive };
-
-/// Default policy mode: BB_POLICY_MODE=adaptive (latched once per process,
-/// like BB_LOCK_SHARDS), else kFixed. CI runs the tier-1 and TSan suites in
-/// both modes.
-PolicyMode DefaultPolicyMode();
 
 /// Default lock-table shard count: the BB_LOCK_SHARDS environment knob
 /// (latched once per process, like the failpoint env), else 1024. The CI
@@ -145,35 +128,23 @@ struct Config {
   /// to a single latch domain (the pre-shard behavior, kept in CI).
   int lock_shards = DefaultLockShards();
 
-  // --- Per-entry contention policy (adaptive protocol selection). The
-  // lock manager resolves a ContentionPolicy descriptor per LockEntry; in
-  // kFixed mode every tier slot holds the Config protocol's descriptor, in
-  // kAdaptive mode (Bamboo only) a per-entry conflict temperature picks
-  // cold / warm / pathological descriptors. See DESIGN.md "Per-entry
-  // contention policy".
-  PolicyMode policy_mode = DefaultPolicyMode();
+  /// Unused by the engine; kept only because the benchmark programs
+  /// (perfbench/net_load.cc, perfbench/embedded.cc) still compare it
+  /// against PolicyMode::kAdaptive and print it. Every LockManager runs
+  /// the protocol's one fixed descriptor (see DESIGN.md "Contention
+  /// policy descriptor").
+  PolicyMode policy_mode = PolicyMode::kFixed;
 
-  /// Unused by the engine; kept only because the benchmark drivers
+  /// Unused by the engine; kept only because the benchmark programs
   /// (perfbench/net_load.cc, perfbench/embedded.cc) still set and print
   /// it. The wait path follows the driver: the network server installs
   /// TxnCB::susp_fire and suspends, thread workers never do and park.
   SuspendMode suspend_mode = SuspendMode::kFutex;
-  /// Temperature at or above which an entry runs full Bamboo (below it the
-  /// entry is cold: plain 2PL admission, retire skipped). Temperature is a
-  /// decaying sum (t -= t>>4 per submit) of +256 per conflicting submit and
-  /// +1024 per cascading abort, capped at 8192; a pure conflict stream
-  /// saturates near 4096.
-  uint32_t policy_warm_threshold = 512;
-  /// Temperature at or above which an entry is pathological: the wound
-  /// rule escalates to waiters and fused RMWs always retire. Above the
-  /// 4096 conflict-only ceiling, so sustained cascading aborts (not mere
-  /// contention) are required to escalate.
-  uint32_t policy_hot_threshold = 6144;
 
   /// Validate this Config. Returns an empty string when usable, else a
   /// human-readable error (Database construction aborts on it). Combos
-  /// that are silently ignored (bb_opt_* under non-Bamboo protocols,
-  /// adaptive policy mode under non-Bamboo, WAL under Silo) are appended
+  /// that are silently ignored (bb_opt_* under non-Bamboo protocols, WAL
+  /// under Silo) are appended
   /// to `warnings` (may be null) and normalized by the consumer.
   std::string Validate(std::vector<std::string>* warnings = nullptr) const;
 
@@ -206,15 +177,6 @@ struct Config {
   /// whole transaction is a handful of multi-key statements. Exercised by
   /// bench_multiget.
   bool synth_batch_ops = false;
-  /// Mixed-temperature variant: each transaction touches one pathological
-  /// hotspot (fused RMW), a few warm rows (fused RMWs over a small warm
-  /// table), a few cold plain writes (Update + WriteDone, exercising the
-  /// retire path), and cold reads for the rest. This is the workload where
-  /// the adaptive policy should beat every fixed protocol.
-  bool synth_mixed_temp = false;
-  uint64_t synth_warm_rows = 64;  ///< size of the warm (contended) table
-  int synth_mix_warm_ops = 2;     ///< warm fused RMWs per transaction
-  int synth_mix_cold_writes = 2;  ///< cold plain writes per transaction
 
   // --- YCSB.
   uint64_t ycsb_rows = 100000;
@@ -233,11 +195,6 @@ struct Config {
   /// payment/new-order column disjointness into a true conflict.
   bool tpcc_neworder_reads_wytd = false;
 };
-
-/// Protocol name for reports, policy-mode aware: "ADAPTIVE" when the lock
-/// manager actually runs the adaptive selector (kAdaptive + kBamboo), else
-/// the fixed protocol's name.
-const char* ProtocolName(const Config& cfg);
 
 }  // namespace bamboo
 

@@ -78,14 +78,6 @@ struct alignas(kCacheLineSize) ThreadStats {
   uint64_t net_frames = 0;           ///< protocol frames decoded + encoded
   uint64_t net_bytes = 0;            ///< protocol bytes received + sent
 
-  // --- adaptive contention policy (LockManager::PolicyTierTotals, folded
-  // in at run end; all zero in fixed policy mode). heats/cools count tier
-  // transitions; cold/hot_rows are the end-of-run tier populations.
-  uint64_t policy_heats = 0;
-  uint64_t policy_cools = 0;
-  uint64_t policy_cold_rows = 0;
-  uint64_t policy_hot_rows = 0;
-
   void Add(const ThreadStats& o) {
     commits += o.commits;
     aborts += o.aborts;
@@ -123,10 +115,6 @@ struct alignas(kCacheLineSize) ThreadStats {
     continuations_fired += o.continuations_fired;
     net_frames += o.net_frames;
     net_bytes += o.net_bytes;
-    policy_heats += o.policy_heats;
-    policy_cools += o.policy_cools;
-    policy_cold_rows += o.policy_cold_rows;
-    policy_hot_rows += o.policy_hot_rows;
   }
 
   void Reset() { *this = ThreadStats(); }

@@ -288,54 +288,10 @@ LockManager::LockManager(const Config& cfg, std::atomic<uint64_t>* ts_counter,
   shard_mask_ = count - 1;
   shards_.reset(new LockShard[count]);
 
-  // Resolve the contention-policy layer once. The adaptive selector only
-  // tiers Bamboo (other protocols have no retire machinery to tier);
-  // anything else is normalized to fixed, matching Config::Validate.
-  adaptive_ = cfg.policy_mode == PolicyMode::kAdaptive &&
-              cfg.protocol == Protocol::kBamboo;
-  policies_[0] = FixedPolicy(cfg);  // tier 0: warm = the protocol itself
-  if (adaptive_) {
-    policies_[1] = ColdPolicy();
-    policies_[2] = HotPolicy(cfg);
-  } else {
-    policies_[1] = policies_[0];
-    policies_[2] = policies_[0];
-  }
-  retire_possible_ = cfg.protocol == Protocol::kBamboo;
+  policy_ = FixedPolicy(cfg);
   bamboo_family_ = cfg.protocol == Protocol::kBamboo;
   observe_cts_ = bamboo_family_ && cfg.bb_opt_raw_read;
   track_cts_ = observe_cts_;
-  warm_threshold_ = cfg.policy_warm_threshold;
-  hot_threshold_ = cfg.policy_hot_threshold;
-  if (warm_threshold_ >= hot_threshold_) hot_threshold_ = warm_threshold_ + 1;
-}
-
-void LockManager::UpdateTemp(LockShard* sh, LockEntry* e, uint32_t add) {
-  // Decaying conflict temperature: t -= t>>4 per submit, plus the event
-  // weight, capped. The decay alone sends an uncontended entry to the cold
-  // tier within a handful of accesses; a pure conflict stream (+256 each)
-  // equilibrates near 4096 -- between the default warm (512) and hot
-  // (6144) thresholds, so plain heavy contention runs full Bamboo and only
-  // sustained cascading aborts (+1024 each, ReleaseOne) escalate to the
-  // pathological tier.
-  uint32_t t = e->temp;
-  t -= t >> 4;
-  t += add;
-  if (t > 8192) t = 8192;
-  e->temp = static_cast<uint16_t>(t);
-  const uint8_t cur = e->tier.load(std::memory_order_relaxed);
-  const uint8_t next = t >= hot_threshold_ ? 2 : (t >= warm_threshold_ ? 0 : 1);
-  if (next == cur) return;
-  e->tier.store(next, std::memory_order_relaxed);
-  // Heat order is cold(1) < warm(0) < hot(2); rank maps tier -> heat.
-  static constexpr uint8_t rank[3] = {1, 0, 2};
-  if (rank[next] > rank[cur]) {
-    sh->tier_heats++;
-  } else {
-    sh->tier_cools++;
-  }
-  sh->cold_rows += (next == 1) - (cur == 1);
-  sh->hot_rows += (next == 2) - (cur == 2);
 }
 
 uint64_t LockManager::ShardHash(uint32_t table_id, uint64_t key) {
@@ -381,25 +337,6 @@ uint64_t LockManager::SnapshotRowForCheckpoint(Row* row, char* buf) {
   ShardGuard g(sh, nullptr);
   std::memcpy(buf, row->base(), row->size());
   return row->base_cts();
-}
-
-void LockManager::PolicyTierTotals(uint64_t* heats, uint64_t* cools,
-                                   uint64_t* cold_rows, uint64_t* hot_rows) {
-  uint64_t h = 0;
-  uint64_t c = 0;
-  int64_t cold = 0;
-  int64_t hot = 0;
-  for (uint32_t i = 0; i < shard_count_; i++) {
-    ShardGuard g(&shards_[i], nullptr);
-    h += shards_[i].tier_heats;
-    c += shards_[i].tier_cools;
-    cold += shards_[i].cold_rows;
-    hot += shards_[i].hot_rows;
-  }
-  *heats = h;
-  *cools = c;
-  *cold_rows = static_cast<uint64_t>(cold < 0 ? 0 : cold);
-  *hot_rows = static_cast<uint64_t>(hot < 0 ? 0 : hot);
 }
 
 bool LockManager::WoundAndClaim(TxnCB* victim, bool cascade) {
@@ -464,7 +401,7 @@ AccessGrant LockManager::Submit(const AccessRequest& req, TxnCB* txn) {
     // SH node and never allocate).
     if (req.upgrade_of == nullptr) txn->pool.Reserve();
     ShardGuard g(sh, txn->stats);
-    grant = req.upgrade_of != nullptr ? UpgradeOne(sh, req, txn)
+    grant = req.upgrade_of != nullptr ? UpgradeOne(req, txn)
                                       : SubmitOne(sh, req, txn);
   }
   DrainCompletions();
@@ -493,7 +430,7 @@ int LockManager::SubmitMany(const AccessRequest* reqs, int n, TxnCB* txn,
       ShardGuard g(&shards_[s], txn->stats);
       for (; i < end; i++) {
         grants[i] = reqs[i].upgrade_of != nullptr
-                        ? UpgradeOne(&shards_[s], reqs[i], txn)
+                        ? UpgradeOne(reqs[i], txn)
                         : SubmitOne(&shards_[s], reqs[i], txn);
         if (grants[i].rc != AcqResult::kGranted) {
           // A waiter must park (and an abort ends the attempt) before any
@@ -531,10 +468,6 @@ AccessGrant LockManager::SubmitOne(LockShard* sh, const AccessRequest& req,
   }
   LockEntry* e = row->Lock();
   const uint64_t seq = txn->txn_seq.load(std::memory_order_relaxed);
-  // Resolve the entry's policy *before* folding this access into its
-  // temperature: the admission runs under the tier the previous traffic
-  // earned, and the reference stays valid (policies_ is immutable).
-  const ContentionPolicy& pol = PolicyFor(e);
 
   // Uncontended fast path: a fully empty entry grants immediately under
   // every policy -- no conflict gather, no timestamp assignment, no wound
@@ -543,7 +476,6 @@ AccessGrant LockManager::SubmitOne(LockShard* sh, const AccessRequest& req,
   // registration is a no-op on the empty retired list).
   if (e->owners.head == nullptr && e->retired.head == nullptr &&
       e->waiters.head == nullptr) {
-    if (adaptive_) UpdateTemp(sh, e, 0);
     if (type == LockType::kEX && bamboo_family_ &&
         txn->raw_snapshot_cts.load(std::memory_order_relaxed) != 0) {
       txn->raw_suppressed = true;
@@ -551,7 +483,7 @@ AccessGrant LockManager::SubmitOne(LockShard* sh, const AccessRequest& req,
       a.rc = AcqResult::kAbort;
       return a;
     }
-    return GrantNow(e, row, txn, req, seq, pol);
+    return GrantNow(e, row, txn, req, seq);
   }
 
   // Gather conflicts. Self re-acquisition never reaches the lock manager
@@ -592,20 +524,13 @@ AccessGrant LockManager::SubmitOne(LockShard* sh, const AccessRequest& req,
       break;
     }
   }
-  if (adaptive_) {
-    UpdateTemp(sh, e,
-               (!c_owners.empty() || !c_retired.empty() ||
-                older_conflicting_waiter)
-                   ? 256
-                   : 0);
-  }
 
   // A pinned snapshot makes this transaction read-only: its raw reads sit
   // at the pin, and a write would have to serialize after commits those
   // reads ignored. Abort here -- before wounding anyone on a doomed
   // attempt -- and suppress the raw path for the retry so a persistently
-  // hot row cannot livelock the transaction. Global gate, not per-tier:
-  // the pin was taken on *some* row, so every row's EX must honor it.
+  // hot row cannot livelock the transaction. The pin was taken on *some*
+  // row, so every row's EX must honor it.
   if (type == LockType::kEX && bamboo_family_ &&
       txn->raw_snapshot_cts.load(std::memory_order_relaxed) != 0) {
     txn->raw_suppressed = true;
@@ -620,7 +545,7 @@ AccessGrant LockManager::SubmitOne(LockShard* sh, const AccessRequest& req,
   // the transaction's CTS snapshot (pinned at its first raw read), so raw
   // reads across rows are mutually consistent. Inert whenever the retired
   // list is empty -- i.e. always, under descriptors that never retire.
-  if (type == LockType::kSH && pol.raw_read && c_owners.empty() &&
+  if (type == LockType::kSH && policy_.raw_read && c_owners.empty() &&
       !c_retired.empty()) {
     bool all_uncommitted_younger = true;
     bool any_uncommitted = false;
@@ -649,27 +574,17 @@ AccessGrant LockManager::SubmitOne(LockShard* sh, const AccessRequest& req,
   }
 
   // Unified admission, driven by the policy's conflict rule. The retired
-  // list is provably empty under fixed non-Bamboo descriptors (nothing
-  // ever retires), so the retired clauses below reduce each rule to its
+  // list is provably empty under non-Bamboo descriptors (nothing ever
+  // retires), so the retired clauses below reduce each rule to its
   // classic owners-only form there.
   bool wait = false;
-  switch (pol.conflict) {
+  switch (policy_.conflict) {
     case ConflictRule::kAbort:
-      // No-wait: any live conflict aborts the requester. Uncommitted
-      // retired conflicts count (only reachable when a cold entry still
-      // carries warm-era leftovers): granting would dirty-read state a
-      // never-retire admission promises not to consume.
+      // No-wait: any conflicting owner aborts the requester.
       if (!c_owners.empty()) {
         AccessGrant a;
         a.rc = AcqResult::kAbort;
         return a;
-      }
-      for (LockReq* r : c_retired) {
-        if (!HolderCommitted(*r)) {
-          AccessGrant a;
-          a.rc = AcqResult::kAbort;
-          return a;
-        }
       }
       break;
 
@@ -704,10 +619,8 @@ AccessGrant LockManager::SubmitOne(LockShard* sh, const AccessRequest& req,
       }
       bool younger_retired_present = false;
       bool retired_upgrade_block = false;
-      bool uncommitted_retired = false;
       for (LockReq* r : c_retired) {
         if (HolderCommitted(*r)) continue;
-        uncommitted_retired = true;
         // Never grant past -- or stack a barrier behind -- a pending
         // upgrade: the upgrader waits for the entry to drain, so a grant
         // registered behind it would wait for the upgrader's commit while
@@ -720,25 +633,8 @@ AccessGrant LockManager::SubmitOne(LockShard* sh, const AccessRequest& req,
           younger_retired_present = true;  // stays until it rolls back
         }
       }
-      if (pol.wound_waiters) {
-        // Pathological tier: an older requester also wounds younger
-        // conflicting *waiters*, collapsing the pile-up instead of
-        // queueing at its tail. Sound for the same reason wounding owners
-        // is: every wound points older -> younger.
-        for (LockReq* w = e->waiters.head; w != nullptr; w = w->next) {
-          if (w->txn != txn && Conflicts(w->type, type) &&
-              OlderThan(txn, w->txn)) {
-            WoundAndClaim(w->txn, /*cascade=*/false);
-          }
-        }
-      }
-      // A never-retire descriptor also never *consumes* retired state: a
-      // cold entry with warm-era uncommitted leftovers waits for them to
-      // commit (plain-2PL semantics) instead of granting a dirty barrier.
-      const bool dirty_ok = pol.retire != RetireMode::kNever;
       wait = !c_owners.empty() || younger_retired_present ||
-             retired_upgrade_block || older_conflicting_waiter ||
-             (!dirty_ok && uncommitted_retired);
+             retired_upgrade_block || older_conflicting_waiter;
       break;
     }
   }
@@ -754,8 +650,8 @@ AccessGrant LockManager::SubmitOne(LockShard* sh, const AccessRequest& req,
   }
 
   // Immediate grant.
-  AccessGrant grant = GrantNow(e, row, txn, req, seq, pol);
-  if (pol.waitdie_repair) WaitDieRepair(e);
+  AccessGrant grant = GrantNow(e, row, txn, req, seq);
+  if (policy_.waitdie_repair) WaitDieRepair(e);
   return grant;
 }
 
@@ -766,12 +662,11 @@ AccessGrant LockManager::SubmitOne(LockShard* sh, const AccessRequest& req,
 /// without the owners round trip; a fused RMW with retire_now retires in
 /// the same latch hold -- the row is never seen in a half-written owner
 /// state, so no waiter convoy can seed behind a preempted writer.
-/// Force-inlined into both call sites: one source copy, but the compiler
-/// keeps folding the descriptor fields each site already has in registers
+/// Force-inlined into both call sites: one source copy, no call
 /// (outlining this cost a measurable ~10ns per grant).
 __attribute__((always_inline)) inline AccessGrant LockManager::GrantNow(
-    LockEntry* e, Row* row, TxnCB* txn, const AccessRequest& req, uint64_t seq,
-    const ContentionPolicy& pol) {
+    LockEntry* e, Row* row, TxnCB* txn, const AccessRequest& req,
+    uint64_t seq) {
   const LockType type = req.type;
   LockReq* r =
       MakeReq(txn, seq, type, req.rmw_fn, req.rmw_arg, req.retire_now);
@@ -789,12 +684,11 @@ __attribute__((always_inline)) inline AccessGrant LockManager::GrantNow(
     r->write_data = grant.write_data;
     if (req.rmw_fn != nullptr) {
       req.rmw_fn(grant.write_data, req.rmw_arg);
-      // Fused RMWs retire when the caller asked (kHonor) or always under
-      // the pathological tier (kForce overrides the caller's Opt-2 tail
-      // hint); never under kNever. Plain EX grants are placed in owners
-      // unconditionally -- the write has not happened yet.
-      if (pol.retire == RetireMode::kForce ||
-          (pol.retire == RetireMode::kHonor && req.retire_now)) {
+      // Fused RMWs retire when the caller asked (kHonor; the caller
+      // already applied Opt 2's tail exemption), never under kNever. Plain
+      // EX grants are placed in owners unconditionally -- the write has
+      // not happened yet.
+      if (policy_.retire == RetireMode::kHonor && req.retire_now) {
         e->retired.PushBack(r, ReqQueue::kRetired);
         grant.retired = true;
       } else {
@@ -807,11 +701,11 @@ __attribute__((always_inline)) inline AccessGrant LockManager::GrantNow(
     CopyRowImage(req.read_buf, row->NewestData(), row->size());
     if (grant.dirty && txn->stats != nullptr) txn->stats->dirty_reads++;
     if (observe_cts_) {
-      // Global gate, not per-tier: snapshot pins on *other* rows validate
-      // against the floor every locked read maintains.
+      // Snapshot pins on *other* rows validate against the floor every
+      // locked read maintains.
       ObserveLockedRead(row, txn, grant.dirty);
     }
-    if (pol.retire_reads) {  // Opt 1
+    if (policy_.retire_reads) {  // Opt 1
       e->retired.PushBack(r, ReqQueue::kRetired);
       grant.retired = true;
     } else {
@@ -823,12 +717,10 @@ __attribute__((always_inline)) inline AccessGrant LockManager::GrantNow(
 
 // --- SH -> EX upgrades ------------------------------------------------------
 
-AccessGrant LockManager::UpgradeOne(LockShard* sh, const AccessRequest& req,
-                                    TxnCB* txn) {
+AccessGrant LockManager::UpgradeOne(const AccessRequest& req, TxnCB* txn) {
   Row* row = req.row;
   LockReq* r = req.upgrade_of;
   LockEntry* e = row->Lock();
-  const ContentionPolicy& pol = PolicyFor(e);  // resolve before UpdateTemp
   AccessGrant a;
   if (txn->IsAborted()) {
     a.rc = AcqResult::kAbort;
@@ -881,9 +773,8 @@ AccessGrant LockManager::UpgradeOne(LockShard* sh, const AccessRequest& req,
     for (LockReq* h : c_holders) EnsureTs(h->txn);
     EnsureTs(txn);
   }
-  if (adaptive_) UpdateTemp(sh, e, c_holders.empty() ? 0 : 256);
 
-  switch (pol.conflict) {
+  switch (policy_.conflict) {
     case ConflictRule::kAbort:
       if (!c_holders.empty()) {
         a.rc = AcqResult::kAbort;
@@ -921,13 +812,6 @@ AccessGrant LockManager::UpgradeOne(LockShard* sh, const AccessRequest& req,
       for (LockReq* h : c_holders) {
         if (OlderThan(txn, h->txn)) WoundAndClaim(h->txn, /*cascade=*/false);
       }
-      if (pol.wound_waiters) {
-        for (LockReq* w = e->waiters.head; w != nullptr; w = w->next) {
-          if (w->txn != txn && OlderThan(txn, w->txn)) {
-            WoundAndClaim(w->txn, /*cascade=*/false);
-          }
-        }
-      }
       break;
   }
 
@@ -949,7 +833,7 @@ AccessGrant LockManager::UpgradeOne(LockShard* sh, const AccessRequest& req,
   txn->lock_granted.store(0, std::memory_order_relaxed);
   // The pending upgrade just made previously-compatible waiters conflict
   // with an older holder -- the edge wait-die forbids.
-  if (pol.waitdie_repair) WaitDieRepair(e);
+  if (policy_.waitdie_repair) WaitDieRepair(e);
   a.rc = AcqResult::kWait;
   a.token = r;
   return a;
@@ -962,12 +846,10 @@ bool LockManager::UpgradeEligible(LockEntry* e, const LockReq& r) const {
   // ...and every other uncommitted retired entry is older: the upgrade
   // then stacks behind them with commit barriers exactly like a fresh EX
   // grant. Wounded younger stragglers must finish rolling back first.
-  // Under a never-retire policy (cold tier) the upgrade additionally
-  // waits for uncommitted retired leftovers to commit -- no dirty barrier.
-  const bool dirty_ok = PolicyFor(e).retire != RetireMode::kNever;
+  // (The retired list is empty under never-retire descriptors.)
   for (const LockReq* q = e->retired.head; q != nullptr; q = q->next) {
     if (q == &r || HolderCommitted(*q)) continue;
-    if (!dirty_ok || !OlderThan(q->txn, r.txn)) return false;
+    if (!OlderThan(q->txn, r.txn)) return false;
   }
   return true;
 }
@@ -993,9 +875,7 @@ AccessGrant LockManager::GrantUpgrade(LockEntry* e, Row* row, LockReq* r) {
   r->write_data = g.write_data;
   if (r->rmw_fn != nullptr) {
     r->rmw_fn(g.write_data, r->rmw_arg);
-    const ContentionPolicy& pol = PolicyFor(e);
-    if (pol.retire == RetireMode::kForce ||
-        (pol.retire == RetireMode::kHonor && r->rmw_retire)) {
+    if (policy_.retire == RetireMode::kHonor && r->rmw_retire) {
       e->retired.PushBack(r, ReqQueue::kRetired);
       g.retired = true;
       return g;
@@ -1260,7 +1140,7 @@ AccessGrant LockManager::FinalizeGrant(LockEntry* e, Row* row, TxnCB* txn,
     if (observe_cts_) {
       ObserveLockedRead(row, txn, grant.dirty);
     }
-    if (PolicyFor(e).retire_reads && token->queue == ReqQueue::kOwners) {
+    if (policy_.retire_reads && token->queue == ReqQueue::kOwners) {
       // Opt 1: the read is complete, retire inside the same latch hold --
       // straight off the token, no owners scan.
       e->owners.Remove(token);
@@ -1312,28 +1192,15 @@ bool LockManager::RmwRetired(Row* row, GrantToken token, RmwFn fn, void* arg) {
 
 bool LockManager::Retire(Row* row, GrantToken token, bool tail_write) {
   // Pre-latch early-outs: a retire is an optimization, never required for
-  // correctness, so it may be skipped off cheap (even racy) reads.
-  if (!retire_possible_) return false;
+  // correctness. Only Bamboo retires, and Opt-2 tail writes never do.
+  if (!bamboo_family_ || tail_write) return false;
   LockEntry* e = row->Lock();
-  if (adaptive_) {
-    // The tier read is racy (no latch yet) but benign: a stale value only
-    // skips or takes one optional retire. Cold rows skip the whole latch
-    // round -- no retired placement, no cascade bookkeeping ever accrues.
-    const uint8_t tier = e->tier.load(std::memory_order_relaxed);
-    if (tier == 1) return false;
-    if (tail_write && tier != 2) return false;  // Opt-2 tail, not forced
-  } else if (tail_write) {
-    return false;  // fixed Bamboo: Opt-2 tail writes never retire
-  }
   TxnCB* txn = token->txn;
   t_exec_stats = txn->stats;  // retires only run on the owning thread
   bool retired = false;
   {
     ShardGuard g(ShardOf(row), txn->stats);
-    const ContentionPolicy& pol = PolicyFor(e);  // authoritative, latched
-    const bool want = pol.retire == RetireMode::kForce ||
-                      (pol.retire == RetireMode::kHonor && !tail_write);
-    if (want && token->queue == ReqQueue::kOwners) {
+    if (token->queue == ReqQueue::kOwners) {
       // (else: not an owner -- aborted concurrently)
       e->owners.Remove(token);
       e->retired.PushBack(token, ReqQueue::kRetired);
@@ -1488,12 +1355,6 @@ int LockManager::ReleaseOne(LockShard* sh, Row* row, GrantToken req,
           row->AbortVersion(txn, req->seq);
         }
       }
-      // A cascading abort (dirty state someone consumed is rolling back)
-      // is the strongest pathology signal: weight it well above a plain
-      // conflict so only rows that keep cascading cross the hot threshold.
-      if (adaptive_ && !committed && req->dep_count > 0) {
-        UpdateTemp(sh, e, 1024);
-      }
       wounded = RetireDependentsAndFree(req, committed);
       break;
     }
@@ -1527,11 +1388,8 @@ bool LockManager::WaiterEligible(LockEntry* e, const LockReq& w) const {
   }
   if (e->retired.empty()) return true;
   if (w.type == LockType::kSH && e->retired.ex_count == 0) return true;
-  // A never-retire policy (cold tier) also never grants *past* uncommitted
-  // retired state: the waiter holds until those entries commit, plain-2PL
-  // style, instead of taking a dirty barrier. Inert under fixed
-  // descriptors (either retire is on, or the retired list is empty).
-  const bool dirty_ok = PolicyFor(e).retire != RetireMode::kNever;
+  // Only reachable under a retiring descriptor: the retired list stays
+  // empty under every other one.
   for (const LockReq* r = e->retired.head; r != nullptr; r = r->next) {
     if (r->txn == w.txn || !Conflicts(EffectiveType(*r), w.type)) continue;
     // A pending upgrade must resolve before anything stacks behind it
@@ -1540,7 +1398,7 @@ bool LockManager::WaiterEligible(LockEntry* e, const LockReq& w) const {
     // May only queue *behind* older (or already committed) retired
     // entries; a younger uncommitted one is a doomed wound target that
     // must drain first.
-    if (!HolderCommitted(*r) && (!dirty_ok || !OlderThan(r->txn, w.txn))) {
+    if (!HolderCommitted(*r) && !OlderThan(r->txn, w.txn)) {
       return false;
     }
   }
@@ -1552,7 +1410,6 @@ void LockManager::PromoteWaiters(LockEntry* e, Row* row) {
   // precedes any waiter in the grant order.
   if (e->upgrades_pending != 0) TryGrantUpgrade(e, row);
 
-  const ContentionPolicy& pol = PolicyFor(e);
   LockReq* w = e->waiters.head;
   while (w != nullptr) {
     LockReq* next = w->next;
@@ -1577,8 +1434,7 @@ void LockManager::PromoteWaiters(LockEntry* e, Row* row) {
       char* data = row->PushVersion(t, w->seq);
       w->write_data = data;
       w->rmw_fn(data, w->rmw_arg);
-      if (pol.retire == RetireMode::kForce ||
-          (pol.retire == RetireMode::kHonor && w->rmw_retire)) {
+      if (policy_.retire == RetireMode::kHonor && w->rmw_retire) {
         e->retired.PushBack(w, ReqQueue::kRetired);
       } else {
         e->owners.PushBack(w, ReqQueue::kOwners);
@@ -1592,7 +1448,7 @@ void LockManager::PromoteWaiters(LockEntry* e, Row* row) {
     w = next;
   }
 
-  if (pol.waitdie_repair) WaitDieRepair(e);
+  if (policy_.waitdie_repair) WaitDieRepair(e);
 }
 
 /// Wait-die invariant repair: enqueueing only ever makes an older txn wait
@@ -1636,14 +1492,6 @@ size_t LockManager::RetiredCount(Row* row) {
 size_t LockManager::WaiterCount(Row* row) {
   ShardGuard g(ShardOf(row), nullptr);
   return row->Lock()->waiters.size;
-}
-uint32_t LockManager::DebugTemp(Row* row) {
-  ShardGuard g(ShardOf(row), nullptr);
-  return row->Lock()->temp;
-}
-int LockManager::DebugTier(Row* row) {
-  ShardGuard g(ShardOf(row), nullptr);
-  return row->Lock()->tier.load(std::memory_order_relaxed);
 }
 
 size_t LockManager::DependentCount(Row* row, TxnCB* txn) {

@@ -247,17 +247,6 @@ struct alignas(kCacheLineSize) LockEntry {
   /// ones excluded). Lets PromoteWaiters skip the upgrade scan entirely in
   /// the common no-upgrade case.
   uint32_t upgrades_pending = 0;
-  /// Conflict temperature (adaptive policy mode only; stays 0 in fixed
-  /// mode). A decaying sum updated under the already-held shard latch:
-  /// t -= t>>4 per submit, +256 per conflicting submit, +1024 per
-  /// cascading abort, capped at 8192. Guarded by the shard latch.
-  uint16_t temp = 0;
-  /// Policy tier derived from `temp`: 0 = warm (full Bamboo / the fixed
-  /// descriptor), 1 = cold (plain 2PL, retire skipped), 2 = pathological
-  /// (escalated wound rule, forced RMW retire). Written only under the
-  /// shard latch; atomic so Retire's pre-latch cold early-out may read it
-  /// racily (a stale read only costs or saves one optional retire).
-  std::atomic<uint8_t> tier{0};
 };
 
 /// One latch domain of the sharded lock table. Rows map to shards by a
@@ -283,14 +272,6 @@ struct alignas(kCacheLineSize) LockShard {
   uint64_t latch_spins = 0;
   uint64_t latch_waits = 0;
   uint64_t cts_mirror = 0;
-  // Adaptive-policy tier accounting (stay 0 in fixed mode). heats/cools
-  // count transitions toward a hotter/colder tier; cold_rows/hot_rows are
-  // the *current* number of this shard's entries sitting in the cold /
-  // pathological tier (entries start warm, so warm is the implicit rest).
-  uint64_t tier_heats = 0;
-  uint64_t tier_cools = 0;
-  int64_t cold_rows = 0;
-  int64_t hot_rows = 0;
 };
 
 enum class AcqResult {
@@ -429,10 +410,9 @@ class LockManager {
 
   /// Move a granted request from owners to the retired list (early release
   /// of the write lock; the heart of the protocol). O(1) off the token.
-  /// The entry's ContentionPolicy decides whether the retire actually
-  /// happens: RetireMode::kNever (cold tier / non-Bamboo descriptors)
-  /// skips it entirely, kHonor skips Opt-2 tail writes (`tail_write`),
-  /// kForce retires even those. Returns whether the request moved.
+  /// Only Bamboo retires, and never an Opt-2 tail write (`tail_write`);
+  /// every other protocol skips the call entirely. Returns whether the
+  /// request moved.
   bool Retire(Row* row, GrantToken token, bool tail_write = false);
 
   /// Drop the request wherever it sits (owners, retired, or waiters) --
@@ -464,15 +444,6 @@ class LockManager {
   /// regression test relies on this.
   void ShardLatchTotals(uint64_t* spins, uint64_t* waits);
 
-  /// Sum of all shards' adaptive-tier counters (latched per shard, not a
-  /// consistent global snapshot): transition counts plus the current
-  /// number of cold / pathological entries. All zero in fixed mode.
-  void PolicyTierTotals(uint64_t* heats, uint64_t* cools, uint64_t* cold_rows,
-                        uint64_t* hot_rows);
-
-  /// Whether this manager runs the adaptive per-entry selector.
-  bool adaptive() const { return adaptive_; }
-
   /// Wire the WAL's health word into the admission path: while it reads
   /// WalHealth::kReadOnly, new EX submissions and SH->EX upgrades are
   /// rejected with AbortCode::kReadOnlyMode (readers, and writers already
@@ -493,9 +464,6 @@ class LockManager {
   size_t OwnerCount(Row* row);
   size_t RetiredCount(Row* row);
   size_t WaiterCount(Row* row);
-  /// Adaptive-policy inspection: the row's current temperature and tier.
-  uint32_t DebugTemp(Row* row);
-  int DebugTier(Row* row);
   /// Dependent records currently held on txn's request (0 when absent).
   size_t DependentCount(Row* row, TxnCB* txn);
   /// Debug aid: dump a row's queues to stderr (used by the
@@ -510,25 +478,10 @@ class LockManager {
   /// same-shard run in the batch APIs) and run any claimed
   /// detached-commit completions after it drops.
   AccessGrant SubmitOne(LockShard* sh, const AccessRequest& req, TxnCB* txn);
-  AccessGrant UpgradeOne(LockShard* sh, const AccessRequest& req, TxnCB* txn);
+  AccessGrant UpgradeOne(const AccessRequest& req, TxnCB* txn);
   AccessGrant ResumeLocked(const AccessRequest& req, TxnCB* txn,
                            GrantToken token);
   int ReleaseOne(LockShard* sh, Row* row, GrantToken token, bool committed);
-
-  /// The descriptor governing `e` right now: the tier slot in fixed mode
-  /// is always 0 (all three slots hold the protocol's descriptor), in
-  /// adaptive mode the entry's temperature tier picks cold/warm/hot.
-  /// Caller holds the shard latch (or accepts a racy-but-benign read).
-  const ContentionPolicy& PolicyFor(const LockEntry* e) const {
-    return policies_[e->tier.load(std::memory_order_relaxed)];
-  }
-
-  /// Fold one observation into `e`'s temperature (decay + `add`) and move
-  /// it between tiers, maintaining `sh`'s transition/population counters.
-  /// Adaptive mode only; runs under the shard latch. The caller resolves
-  /// the access's policy *before* calling (this submit runs under the tier
-  /// the previous traffic earned).
-  void UpdateTemp(LockShard* sh, LockEntry* e, uint32_t add);
 
   /// Wound `victim`; if the victim's owner already handed its commit off,
   /// claim the completion so its rollback happens promptly (queued, run
@@ -580,8 +533,7 @@ class LockManager {
   /// post-conflict-check grant: request allocation, snapshot validation,
   /// barrier registration, version/image work, fused RMW, placement.
   AccessGrant GrantNow(LockEntry* e, Row* row, TxnCB* txn,
-                       const AccessRequest& req, uint64_t seq,
-                       const ContentionPolicy& pol);
+                       const AccessRequest& req, uint64_t seq);
   bool RegisterBarrier(LockEntry* e, TxnCB* txn, LockType type, uint64_t seq);
   AccessGrant FinalizeGrant(LockEntry* e, Row* row, TxnCB* txn, LockType type,
                             char* read_buf, GrantToken token);
@@ -611,28 +563,18 @@ class LockManager {
   uint32_t shard_count_ = 1;
   uint32_t shard_mask_ = 0;
 
-  // --- contention-policy layer (resolved in the constructor).
-  /// Per-tier descriptors indexed by LockEntry::tier. Fixed mode fills all
-  /// three slots with the protocol's descriptor, so PolicyFor needs no
-  /// mode branch on the hot path.
-  ContentionPolicy policies_[3];
-  /// Adaptive selector active (kAdaptive + kBamboo; anything else is
-  /// normalized to fixed, matching Config::Validate's warning).
-  bool adaptive_ = false;
-  /// Any tier's descriptor can retire (fixed Bamboo or adaptive): gates
-  /// Retire's pre-latch early-out.
-  bool retire_possible_ = false;
-  /// Soundness gates that must NOT vary per entry, cached off cfg_:
-  /// a transaction that pinned an Opt-3 raw-read snapshot must abort on
-  /// *any* EX acquire (whatever that row's tier)...
+  /// The protocol's descriptor (FixedPolicy), resolved once in the
+  /// constructor and used for every row.
+  ContentionPolicy policy_;
+  /// Protocol is Bamboo, cached off cfg_. Gates Retire's pre-latch
+  /// early-out, and the Opt-3 rule that a transaction which pinned a
+  /// raw-read snapshot must abort on any EX acquire.
   bool bamboo_family_ = false;
-  /// ...and CTS observation (every locked SH grant) / retention (committed
-  /// EX releases) must run on every row, or snapshot pins on other rows
-  /// would validate against stale bookkeeping.
+  /// Bamboo with Opt 3: CTS observation (every locked SH grant) and
+  /// retention (committed EX releases) run on every row, or snapshot pins
+  /// on other rows would validate against stale bookkeeping.
   bool observe_cts_ = false;
   bool track_cts_ = false;
-  uint32_t warm_threshold_ = 0;
-  uint32_t hot_threshold_ = 0;
 };
 
 }  // namespace bamboo

@@ -7,16 +7,14 @@
 
 namespace bamboo {
 
-// The contention-policy layer: every protocol decision the lock manager
-// used to make by switching on Config::protocol is captured in a small
-// vtable-free descriptor (the stmgc contention-manager shape: admission
-// rule, wound rule, retire eligibility, repair hook as plain data). The
-// descriptor is resolved *per LockEntry* -- in fixed mode all tier slots
-// hold the protocol's descriptor, in adaptive mode the entry's temperature
-// tier picks cold / warm / pathological variants. Soundness-critical
-// gates that must not vary per entry (the pinned-raw-reader write abort,
-// CTS observation/retention for Opt-3 snapshots) stay global in the lock
-// manager; see DESIGN.md "Per-entry contention policy".
+// The contention-policy descriptor: every protocol decision of the lock
+// manager is captured in a small vtable-free descriptor (the stmgc
+// contention-manager shape: admission rule, retire eligibility, repair
+// hook as plain data) instead of switches on Config::protocol. Each
+// LockManager resolves one descriptor from its Config at construction and
+// applies it to every row. The Opt-3 soundness gates (the pinned-raw-reader
+// write abort, CTS observation/retention) are cached as flags in the lock
+// manager; see DESIGN.md "Contention policy descriptor".
 
 /// What to do with a conflicting holder (owner or uncommitted retired).
 enum class ConflictRule : uint8_t {
@@ -29,11 +27,9 @@ enum class ConflictRule : uint8_t {
 enum class RetireMode : uint8_t {
   kNever,  ///< plain 2PL: locks are held to commit; no cascade bookkeeping
   kHonor,  ///< Bamboo: retire when the caller asks (Opt-2 tail writes skip)
-  kForce,  ///< pathological: fused RMWs always retire, even tail writes
 };
 
-/// Per-entry protocol descriptor. Plain data, compared and copied freely;
-/// resolved under the shard latch via the entry's tier.
+/// Protocol descriptor. Plain data, compared and copied freely.
 struct ContentionPolicy {
   ConflictRule conflict = ConflictRule::kWoundYounger;
   RetireMode retire = RetireMode::kHonor;
@@ -42,9 +38,6 @@ struct ContentionPolicy {
   /// Opt 3: readers older than all uncommitted retired writers take the
   /// raw-snapshot branch instead of wounding.
   bool raw_read = false;
-  /// Escalated wound rule: an older requester also wounds younger
-  /// *waiters* whose requests conflict, collapsing pile-ups faster.
-  bool wound_waiters = false;
   /// Run the wait-die waiter-order repair hook after queue mutations.
   bool waitdie_repair = false;
 };
@@ -77,36 +70,6 @@ inline ContentionPolicy FixedPolicy(const Config& cfg) {
       p.retire = RetireMode::kNever;
       break;
   }
-  return p;
-}
-
-/// Cold tier: plain 2PL admission (no-wait), retire skipped entirely --
-/// no retired-list placement, no commit-order barriers, no cascade
-/// bookkeeping on rows that see no contention. No-wait over the queueing
-/// rules for two reasons. Deadlock-safety under per-entry mixing: Bamboo
-/// and wound-wait point wait edges young->old while wait-die points them
-/// old->young, so a wait-die cold tier next to Bamboo warm tiers can close
-/// a cycle neither rule alone permits; abort-on-conflict creates no wait
-/// edge at all and composes with every tier. And cost: a cold row's rare
-/// conflict is cheapest resolved by the requester backing off immediately
-/// -- parking hands the lock through the FIFO waiter queue to threads the
-/// scheduler may not run next (a convoy on oversubscribed cores), while a
-/// row that keeps conflicting heats past the threshold and graduates to
-/// the Bamboo tiers, which queue properly.
-inline ContentionPolicy ColdPolicy() {
-  ContentionPolicy p;
-  p.conflict = ConflictRule::kAbort;
-  p.retire = RetireMode::kNever;
-  return p;
-}
-
-/// Pathological tier: full Bamboo plus an escalated wound rule (waiters
-/// too) and forced fused-RMW retirement (Opt-2 tail exemption overridden:
-/// under a cascade storm, releasing the hotspot early always pays).
-inline ContentionPolicy HotPolicy(const Config& cfg) {
-  ContentionPolicy p = FixedPolicy(cfg);
-  p.retire = RetireMode::kForce;
-  p.wound_waiters = true;
   return p;
 }
 

@@ -884,10 +884,7 @@ void TxnHandle::WriteDone() {
   if (txn_->IsAborted()) return;
   for (auto it = accesses_.rbegin(); it != accesses_.rend(); ++it) {
     if (it->type == LockType::kEX && it->state == AccState::kOwner) {
-      // The Opt-2 tail decision rides along as a hint: the entry's
-      // ContentionPolicy has the final say (cold tiers skip every retire
-      // without taking the latch, the pathological tier retires even tail
-      // writes).
+      // Opt 2: Retire skips a tail write before taking the latch.
       if (lm_->Retire(it->row, it->token, TailWrite())) {
         it->state = AccState::kRetired;
       }

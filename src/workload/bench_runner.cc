@@ -67,18 +67,6 @@ void WorkerLoop(Database* db, Workload* workload, SharedState* shared,
   std::atomic<uint32_t>& wake_word = ctx->wake_word;
   Rng rng(0xb4c0ull * 2654435761u + static_cast<uint64_t>(thread_id) + 1);
   const bool detach = UseDetachedCommits(db->config());
-  // Wound-wait-family retries keep their timestamp so victims age toward
-  // immunity (no starvation). Under the adaptive policy the aging rule is
-  // what *sustains* hotspot wound storms: a wounded transaction retries as
-  // the oldest in the system and immediately re-wounds the whole retired
-  // pipeline that formed behind it, which wounds more retries, and the
-  // storm feeds itself. Adaptive mode refreshes the timestamp instead --
-  // the retry rejoins as the youngest and queues behind the pipeline. The
-  // no-wait cold tier already makes adaptive's progress stochastic rather
-  // than age-ordered, so aging buys nothing there anyway.
-  const bool keep_ts_on_retry =
-      !(db->config().policy_mode == PolicyMode::kAdaptive &&
-        db->config().protocol == Protocol::kBamboo);
   const size_t max_slots = detach ? DetachSlotCap() : 1;
   Wal* wal = db->wal();
 
@@ -209,8 +197,10 @@ void WorkerLoop(Database* db, Workload* workload, SharedState* shared,
     int attempt = 0;
     for (;;) {
       slot->cb.txn_seq.fetch_add(1, std::memory_order_relaxed);
-      slot->cb.ResetForAttempt(/*keep_ts=*/retry && keep_ts_on_retry);
-      if (keep_ts != 0 && !retry && keep_ts_on_retry) {
+      // Wound-wait-family retries keep their timestamp so victims age
+      // toward immunity (no starvation).
+      slot->cb.ResetForAttempt(/*keep_ts=*/retry);
+      if (keep_ts != 0 && !retry) {
         // Requeued cascade victim: restore its old timestamp so it ages,
         // and its raw suppression so it cannot re-pin into the same abort.
         slot->cb.ts.store(keep_ts, std::memory_order_relaxed);
@@ -330,9 +320,6 @@ RunResult LoadAndRun(const Config& cfg, Workload* workload) {
   for (const auto& c : ctxs) result.total.Add(c->stats);
   if (Wal* wal = db.wal()) wal->FillStats(&result.total);
   if (Checkpointer* ck = db.checkpointer()) ck->FillStats(&result.total);
-  db.cc()->locks()->PolicyTierTotals(
-      &result.total.policy_heats, &result.total.policy_cools,
-      &result.total.policy_cold_rows, &result.total.policy_hot_rows);
   result.elapsed_seconds = static_cast<double>(t_end - t_start) / 1e9;
   return result;
 }

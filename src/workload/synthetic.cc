@@ -18,24 +18,11 @@ void SyntheticWorkload::Load(Database* db) {
   Schema hot_schema;
   hot_schema.AddColumn("counter", 8);
   Table* hot_tbl = db->catalog()->CreateTable("hot", hot_schema);
-  int hotspots = std::max(cfg_.synth_num_hotspots, 0);
-  // The mixed-temperature shape unconditionally RMWs hot key 0.
-  if (cfg_.synth_mixed_temp) hotspots = std::max(hotspots, 1);
+  const int hotspots = std::max(cfg_.synth_num_hotspots, 0);
   hot_ = db->catalog()->CreateIndex("hot_pk",
                                     static_cast<uint64_t>(hotspots) + 1);
   for (int h = 0; h < hotspots; h++) {
     db->LoadRow(hot_tbl, hot_, static_cast<uint64_t>(h));
-  }
-
-  if (cfg_.synth_mixed_temp) {
-    Schema warm_schema;
-    warm_schema.AddColumn("val", 8);
-    Table* warm_tbl = db->catalog()->CreateTable("warm", warm_schema);
-    uint64_t warm_rows = std::max<uint64_t>(cfg_.synth_warm_rows, 1);
-    warm_ = db->catalog()->CreateIndex("warm_pk", warm_rows);
-    for (uint64_t k = 0; k < warm_rows; k++) {
-      db->LoadRow(warm_tbl, warm_, k);
-    }
   }
 
   // Map hotspot positions [0,1] onto op slots once; all transactions share
@@ -54,7 +41,6 @@ void SyntheticWorkload::Load(Database* db) {
 }
 
 RC SyntheticWorkload::RunTxn(TxnHandle* handle, Rng* rng) {
-  if (cfg_.synth_mixed_temp) return RunTxnMixed(handle, rng);
   if (cfg_.synth_batch_ops) return RunTxnBatched(handle, rng);
   int ops = std::max(cfg_.synth_ops_per_txn, 1);
   handle->txn()->planned_ops = ops;
@@ -76,55 +62,6 @@ RC SyntheticWorkload::RunTxn(TxnHandle* handle, Rng* rng) {
                             nullptr) != RC::kOk) {
         return handle->Commit(RC::kOk);  // rolls back, reports kAbort
       }
-    } else {
-      const char* data = nullptr;
-      if (handle->Read(cold_, rng->Uniform(cfg_.synth_rows), &data) !=
-          RC::kOk) {
-        return handle->Commit(RC::kOk);
-      }
-    }
-  }
-  return handle->Commit(RC::kOk);
-}
-
-RC SyntheticWorkload::RunTxnMixed(TxnHandle* handle, Rng* rng) {
-  // Per-row temperature spectrum in one transaction: op 0 hammers the
-  // single hotspot (every transaction, maximal conflict), a few ops spread
-  // RMWs over a small warm table (intermittent conflict), a few write cold
-  // rows (conflict-free writes -- the adaptive cold tier must not pay
-  // retire overhead for these), the rest read cold rows.
-  int ops = std::max(cfg_.synth_ops_per_txn, 1);
-  handle->txn()->planned_ops = ops;
-  uint64_t warm_rows = std::max<uint64_t>(cfg_.synth_warm_rows, 1);
-  int warm_ops = std::max(cfg_.synth_mix_warm_ops, 0);
-  int cold_writes = std::max(cfg_.synth_mix_cold_writes, 0);
-  RmwFn bump = [](char* d, void*) {
-    uint64_t v;
-    std::memcpy(&v, d, 8);
-    v++;
-    std::memcpy(d, &v, 8);
-  };
-  for (int i = 0; i < ops; i++) {
-    if (i == 0) {
-      if (handle->UpdateRmw(hot_, 0, bump, nullptr) != RC::kOk) {
-        return handle->Commit(RC::kOk);  // rolls back, reports kAbort
-      }
-    } else if (i <= warm_ops) {
-      if (handle->UpdateRmw(warm_, rng->Uniform(warm_rows), bump, nullptr) !=
-          RC::kOk) {
-        return handle->Commit(RC::kOk);
-      }
-    } else if (i <= warm_ops + cold_writes) {
-      char* data = nullptr;
-      if (handle->Update(cold_, rng->Uniform(cfg_.synth_rows), &data) !=
-          RC::kOk) {
-        return handle->Commit(RC::kOk);
-      }
-      uint64_t v;
-      std::memcpy(&v, data, 8);
-      v++;
-      std::memcpy(data, &v, 8);
-      handle->WriteDone();
     } else {
       const char* data = nullptr;
       if (handle->Read(cold_, rng->Uniform(cfg_.synth_rows), &data) !=

@@ -20,15 +20,9 @@ class SyntheticWorkload : public Workload {
   /// Multi-key variant (cfg.synth_batch_ops): hotspot RMWs via
   /// UpdateRmwMany, cold reads via ReadMany.
   RC RunTxnBatched(TxnHandle* handle, Rng* rng);
-  /// Mixed-temperature variant (cfg.synth_mixed_temp): one pathological
-  /// hotspot RMW, a few warm-table RMWs, a few uniform cold writes, cold
-  /// reads for the rest -- exercises all three adaptive policy tiers in
-  /// one transaction shape.
-  RC RunTxnMixed(TxnHandle* handle, Rng* rng);
   const Config& cfg_;
   HashIndex* cold_ = nullptr;
   HashIndex* hot_ = nullptr;
-  HashIndex* warm_ = nullptr;  ///< mixed-temperature middle table
   int hot_op_[2] = {-1, -1};  ///< op index of each hotspot
 };
 

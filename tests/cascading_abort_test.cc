@@ -31,7 +31,6 @@ void TestRetiredWriterAbortCascades() {
   Config cfg;
   cfg.protocol = Protocol::kBamboo;
   cfg.bb_opt_raw_read = false;
-  cfg.policy_mode = PolicyMode::kFixed;  // deterministic retire motion
   std::atomic<uint64_t> ts{0};
   std::atomic<uint64_t> cts{1};
   LockManager lm(cfg, &ts, &cts);
@@ -71,7 +70,6 @@ void TestCommitDependenciesDrainInOrder() {
   Config cfg;
   cfg.protocol = Protocol::kBamboo;
   cfg.bb_opt_raw_read = false;  // force the dirty read for R below
-  cfg.policy_mode = PolicyMode::kFixed;  // deterministic retire motion
   std::atomic<uint64_t> ts{0};
   std::atomic<uint64_t> cts{1};
   LockManager lm(cfg, &ts, &cts);
@@ -131,7 +129,6 @@ void TestBarrierCutoffAtNewestExConflict() {
   Config cfg;
   cfg.protocol = Protocol::kBamboo;
   cfg.bb_opt_raw_read = false;  // force dirty reads through the lock table
-  cfg.policy_mode = PolicyMode::kFixed;  // deterministic retire motion
   std::atomic<uint64_t> ts{0};
   std::atomic<uint64_t> cts{1};
   LockManager lm(cfg, &ts, &cts);
@@ -384,7 +381,6 @@ void BeginWithTs(Database* db, TxnCB* cb, uint64_t ts) {
 void TestRawReadCrossRowSnapshotForbidsAnomaly() {
   Config cfg;
   cfg.protocol = Protocol::kBamboo;  // all four optimizations on
-  cfg.policy_mode = PolicyMode::kFixed;  // deterministic raw-read/retire path
   Database db(cfg);
   Schema schema;
   schema.AddColumn("balance", 8);
@@ -438,7 +434,6 @@ void TestRawReadCrossRowSnapshotForbidsAnomaly() {
 void TestRawReadServesConsistentSnapshot() {
   Config cfg;
   cfg.protocol = Protocol::kBamboo;
-  cfg.policy_mode = PolicyMode::kFixed;  // deterministic raw-read/retire path
   Database db(cfg);
   Schema schema;
   schema.AddColumn("balance", 8);
@@ -508,7 +503,6 @@ void TestRawReadServesConsistentSnapshot() {
 void TestRawReadMakesTransactionReadOnly() {
   Config cfg;
   cfg.protocol = Protocol::kBamboo;
-  cfg.policy_mode = PolicyMode::kFixed;  // deterministic raw-read/retire path
   Database db(cfg);
   Schema schema;
   schema.AddColumn("balance", 8);
@@ -585,7 +579,6 @@ void TestRawReadMakesTransactionReadOnly() {
 void TestRawReadAbortsWhenSnapshotImageGone() {
   Config cfg;
   cfg.protocol = Protocol::kBamboo;
-  cfg.policy_mode = PolicyMode::kFixed;  // deterministic raw-read/retire path
   std::atomic<uint64_t> ts{0};
   std::atomic<uint64_t> cts{1};
   LockManager lm(cfg, &ts, &cts);

@@ -77,7 +77,6 @@ Config LogConfig(const std::string& dir) {
   cfg.log_dir = dir;
   cfg.log_epoch_us = 200;
   cfg.bb_opt_raw_read = false;
-  cfg.policy_mode = PolicyMode::kFixed;
   // Tests drive passes deterministically through RunOnce; park the
   // background thread on an interval it will never reach.
   cfg.ckpt_interval_us = 1e9;

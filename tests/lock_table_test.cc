@@ -2,8 +2,11 @@
 // API: compatibility matrix, retire motion between queues, wake-up order,
 // and the per-protocol conflict decisions (wound-wait / wait-die /
 // no-wait). Tokens returned by Submit are threaded through Resume / Retire
-// / Release exactly as TxnHandle does.
+// / Release exactly as TxnHandle does. Config::Validate's errors and
+// warnings are checked here too.
 #include <atomic>
+#include <string>
+#include <vector>
 
 #include "src/db/lock_table.h"
 #include "src/db/txn.h"
@@ -16,11 +19,8 @@ namespace {
 struct Fixture {
   explicit Fixture(Protocol p, bool raw_read = true) {
     cfg.protocol = p;
-    // Deterministic tier-free semantics: the adaptive CI leg
-    // (BB_POLICY_MODE=adaptive) must not demote these single-access rows
-    // to the cold tier mid-assertion. Knobs must be set before the
-    // LockManager exists -- it resolves its policy table in the ctor.
-    cfg.policy_mode = PolicyMode::kFixed;
+    // Knobs must be set before the LockManager exists -- it resolves its
+    // policy descriptor in the ctor.
     cfg.bb_opt_raw_read = raw_read;
     lm = new LockManager(cfg, &ts_counter, &cts_counter);
   }
@@ -262,6 +262,43 @@ void TestWaiterTokenRelease() {
   delete waiter;
 }
 
+void TestValidateConfig() {
+  {
+    Config cfg;
+    std::vector<std::string> warnings;
+    CHECK(cfg.Validate(&warnings).empty());
+    CHECK(warnings.empty());
+  }
+  {
+    // Degenerate shard counts clamp (shard_routing_test pins the clamping
+    // contract), so they warn instead of erroring.
+    Config cfg;
+    cfg.lock_shards = 0;
+    std::vector<std::string> warnings;
+    CHECK(cfg.Validate(&warnings).empty());
+    CHECK(!warnings.empty());
+  }
+  {
+    Config cfg;
+    cfg.bb_delta = 1.5;
+    CHECK(!cfg.Validate().empty());
+  }
+  {
+    Config cfg;
+    cfg.log_enabled = true;
+    cfg.log_dir.clear();
+    CHECK(!cfg.Validate().empty());
+  }
+  {
+    // Silently-ignored combo: bb_opt_* under wound-wait warns but passes.
+    Config cfg;
+    cfg.protocol = Protocol::kWoundWait;
+    std::vector<std::string> warnings;
+    CHECK(cfg.Validate(&warnings).empty());
+    CHECK(!warnings.empty());
+  }
+}
+
 }  // namespace
 }  // namespace bamboo
 
@@ -277,5 +314,6 @@ int main() {
   RUN_TEST(TestNoWaitAborts);
   RUN_TEST(TestWaitDieDecision);
   RUN_TEST(TestWaiterTokenRelease);
+  RUN_TEST(TestValidateConfig);
   return bamboo::test::Summary("lock_table_test");
 }

@@ -30,8 +30,6 @@ struct Fixture {
   explicit Fixture(Protocol p, bool raw_read = true) {
     cfg.protocol = p;
     cfg.bb_opt_raw_read = raw_read;
-    // Keep retire/upgrade motion deterministic under the adaptive CI leg.
-    cfg.policy_mode = PolicyMode::kFixed;
     lm = new LockManager(cfg, &ts_counter, &cts_counter);
   }
   ~Fixture() { delete lm; }

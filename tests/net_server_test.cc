@@ -223,8 +223,7 @@ bool ReadResponse(int fd, Status* st) {
 // can only commit if the dependent's commit wait does not hold the thread.
 void TestCommitSuspendsOnDirtyDependency() {
   Config cfg = ServerConfig();
-  cfg.num_threads = 1;                   // writer and reader share a loop
-  cfg.policy_mode = PolicyMode::kFixed;  // every write retires
+  cfg.num_threads = 1;  // writer and reader share a loop
   NetServer::Options opts;
   opts.rows = 16;
   NetServer server(cfg, opts);

@@ -128,7 +128,6 @@ void BuildCorpus(const std::string& dir, uint64_t* truth) {
   cfg.log_dir = dir;
   cfg.log_epoch_us = 200;
   cfg.bb_opt_raw_read = false;
-  cfg.policy_mode = PolicyMode::kFixed;
   cfg.ckpt_interval_us = 1e9;
 
   Database db(cfg);

@@ -72,8 +72,6 @@ struct Fixture {
   explicit Fixture(Protocol p, bool raw_read = true) {
     cfg.protocol = p;
     cfg.bb_opt_raw_read = raw_read;
-    // Keep queue motion deterministic under the adaptive CI leg.
-    cfg.policy_mode = PolicyMode::kFixed;
     lm = new LockManager(cfg, &ts_counter, &cts_counter);
   }
   ~Fixture() { delete lm; }
@@ -284,11 +282,6 @@ void TestDependentsSpillRoundTrip() {
 void TestZeroAllocAfterWarmup() {
   Config cfg;
   cfg.protocol = Protocol::kBamboo;
-  // The single-thread interleaving depends on the dirty read: the reader
-  // consumes the retired writer's value before the writer commits. Adaptive
-  // mode demotes the uncontended hotspot to cold (retire skipped), which
-  // would park the reader behind the EX owner forever.
-  cfg.policy_mode = PolicyMode::kFixed;
   cfg.num_threads = 1;
   Database db(cfg);
   Schema schema;

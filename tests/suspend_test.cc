@@ -74,9 +74,6 @@ struct Actor {
 Config SuspendConfig(Protocol p) {
   Config cfg;
   cfg.protocol = p;
-  // Queue-shape test: the adaptive policy's cold tier is no-wait, so the
-  // conflicts below would abort instead of waiting (BB_POLICY_MODE leg).
-  cfg.policy_mode = PolicyMode::kFixed;
   // Timestamps in Begin order so the conflict outcomes below are
   // deterministic (no first-conflict dynamic assignment).
   cfg.dynamic_ts = false;

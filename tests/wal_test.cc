@@ -73,8 +73,6 @@ Config LogConfig(const std::string& dir) {
   cfg.log_epoch_us = 200;
   // Force true dirty reads (dependencies) instead of Opt-3 snapshot serves.
   cfg.bb_opt_raw_read = false;
-  // Deterministic retire motion under the adaptive CI leg.
-  cfg.policy_mode = PolicyMode::kFixed;
   return cfg;
 }
 

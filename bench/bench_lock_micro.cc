@@ -5,6 +5,7 @@
 // semaphore within 0.2%).
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <memory>
 
 #include "src/db/database.h"
@@ -17,7 +18,8 @@ namespace {
 /// Single-threaded fixture: one database, one table, reusable txn blocks.
 class LockMicro {
  public:
-  explicit LockMicro(Protocol protocol, bool retire_writes = true) {
+  explicit LockMicro(Protocol protocol, bool retire_writes = true,
+                     uint64_t rows = kRows) {
     cfg_.protocol = protocol;
     cfg_.num_threads = 1;
     cfg_.bb_opt_no_retire_tail = !retire_writes;
@@ -26,8 +28,8 @@ class LockMicro {
     Schema schema;
     schema.AddColumn("val", 8);
     table_ = db_->catalog()->CreateTable("t", schema);
-    index_ = db_->catalog()->CreateIndex("t_pk", kRows);
-    for (uint64_t k = 0; k < kRows; k++) db_->LoadRow(table_, index_, k);
+    index_ = db_->catalog()->CreateIndex("t_pk", rows);
+    for (uint64_t k = 0; k < rows; k++) db_->LoadRow(table_, index_, k);
     txn_.stats = &stats_;
   }
 
@@ -138,6 +140,44 @@ void BM_Txn16Ops(benchmark::State& state) {
   ReportHotPathCounters(state, m.stats_);
 }
 BENCHMARK(BM_Txn16Ops);
+
+void BM_Txn16OpsCold(benchmark::State& state) {
+  // 8 reads, 8 fused RMWs and a commit over a 1M-row table with scattered
+  // keys, so nearly every access misses the cache on its index slot and
+  // its row. BM_Txn16Ops' 1024-row table stays cached and cannot show this
+  // per-access storage cost.
+  constexpr uint64_t kColdRows = 1000000;
+  LockMicro m(Protocol::kBamboo, /*retire_writes=*/true, kColdRows);
+  TxnHandle handle(m.db_.get(), &m.txn_);
+  RmwFn bump = [](char* d, void*) {
+    uint64_t v;
+    std::memcpy(&v, d, 8);
+    v++;
+    std::memcpy(d, &v, 8);
+  };
+  uint64_t n = 0;
+  for (auto _ : state) {
+    m.txn_.txn_seq++;
+    m.txn_.ResetForAttempt(false);
+    m.db_->cc()->Begin(&m.txn_);
+    m.txn_.planned_ops = 16;
+    for (int i = 0; i < 16; i++) {
+      // Multiplicative scatter: consecutive draws land far apart.
+      const uint64_t key = (++n * 0x9e3779b97f4a7c15ull >> 20) % kColdRows;
+      if (i % 2 == 0) {
+        const char* data = nullptr;
+        benchmark::DoNotOptimize(handle.Read(m.index_, key, &data));
+        benchmark::DoNotOptimize(data);
+      } else {
+        benchmark::DoNotOptimize(
+            handle.UpdateRmw(m.index_, key, bump, nullptr));
+      }
+    }
+    benchmark::DoNotOptimize(handle.Commit(RC::kOk));
+  }
+  ReportHotPathCounters(state, m.stats_);
+}
+BENCHMARK(BM_Txn16OpsCold);
 
 void BM_SiloTxn16Ops(benchmark::State& state) {
   LockMicro m(Protocol::kSilo);

@@ -61,8 +61,10 @@ Database::~Database() = default;
 
 Table* Catalog::CreateTable(const std::string& name, const Schema& schema) {
   tables_.push_back(std::make_unique<Table>(name, schema));
-  tables_.back()->set_id(static_cast<uint32_t>(tables_.size() - 1));
-  return tables_.back().get();
+  Table* t = tables_.back().get();
+  t->set_id(static_cast<uint32_t>(tables_.size() - 1));
+  table_dir_.push_back(t);
+  return t;
 }
 
 HashIndex* Catalog::CreateIndex(const std::string& name, uint64_t capacity) {

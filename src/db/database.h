@@ -19,6 +19,8 @@ class Checkpointer;
 struct RecoveryResult;
 
 /// Owns tables and indexes; names are looked up at load time only.
+/// Creation has one writer (the loader); table_count/TableAt may run
+/// concurrently with it (the checkpointer).
 class Catalog {
  public:
   Table* CreateTable(const std::string& name, const Schema& schema);
@@ -27,11 +29,12 @@ class Catalog {
   HashIndex* GetIndex(const std::string& name) const;
 
   /// Positional access for whole-catalog scans (checkpointing).
-  size_t table_count() const { return tables_.size(); }
-  Table* TableAt(size_t i) const { return tables_[i].get(); }
+  size_t table_count() const { return table_dir_.size(); }
+  Table* TableAt(size_t i) const { return table_dir_[i]; }
 
  private:
-  std::vector<std::unique_ptr<Table>> tables_;
+  std::vector<std::unique_ptr<Table>> tables_;  ///< owner (writer only)
+  PublishedArray<Table> table_dir_;             ///< what readers walk
   std::vector<std::unique_ptr<HashIndex>> indexes_;
   std::vector<std::string> index_names_;
 };
@@ -139,12 +142,12 @@ class Database {
   Checkpointer* checkpointer() const { return ckpt_.get(); }
 
   /// Create one row in `table` and register it in `index` under `key`.
-  /// Returns the row so loaders can fill in the initial image. Also stamps
-  /// the row's WAL identity and remembers table->index for recovery.
+  /// Returns the row so loaders can fill in the initial image. The row
+  /// carries its WAL identity (stamped by CreateRow); table->index is
+  /// remembered for recovery.
   Row* LoadRow(Table* table, HashIndex* index, uint64_t key) {
-    Row* row = table->CreateRow();
+    Row* row = table->CreateRow(key);
     index->Put(key, row);
-    row->SetWalId(table->id(), key);
     uint32_t tid = table->id();
     if (tid >= table_index_.size()) table_index_.resize(tid + 1, nullptr);
     table_index_[tid] = index;

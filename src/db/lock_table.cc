@@ -974,7 +974,7 @@ AccessGrant LockManager::RawSnapshotRead(LockShard* sh, Row* row, TxnCB* txn,
     for (const Version& v : row->chain()) {
       uint64_t vcts = VersionCommitCts(v);
       if (vcts == 0 || vcts > snap) break;
-      src = v.data.get();
+      src = v.data;
     }
   } else if (row->SnapData() != nullptr && row->snap_cts() <= snap) {
     src = row->SnapData();

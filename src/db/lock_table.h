@@ -236,10 +236,11 @@ class ReqPool {
 /// The entry carries no latch of its own: all queue state is guarded by the
 /// latch of the LockShard the row hashes to (LockManager::ShardIndexOf), so
 /// a multi-key batch landing in one shard mutates many entries under a
-/// single latch hold. The entry stays cache-line aligned so adjacent
-/// entries (or the surrounding Row fields) never false-share the queue
-/// heads the shard-latch holder is writing.
-struct alignas(kCacheLineSize) LockEntry {
+/// single latch hold. The entry is not cache-line aligned: it leads its
+/// Row's slot, and the row's other hot fields share its two lines (see
+/// src/storage/row.h), so one cold access misses on as few lines as
+/// possible.
+struct LockEntry {
   ReqList owners;
   ReqList retired;
   ReqList waiters;

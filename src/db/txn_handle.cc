@@ -1112,14 +1112,14 @@ void TxnHandle::CompleteDetached() {
 char* TxnHandle::SiloStableCopy(Row* row, uint64_t* tid_out) {
   char* buf = ArenaAlloc(row->size());
   for (;;) {
-    uint64_t t1 = row->silo_tid.load(std::memory_order_acquire);
+    uint64_t t1 = row->silo_tid().load(std::memory_order_acquire);
     if (t1 & Row::kSiloLockBit) {
       std::this_thread::yield();
       continue;
     }
     SeqlockLoad(buf, row->base(), row->size());
     std::atomic_thread_fence(std::memory_order_acquire);
-    uint64_t t2 = row->silo_tid.load(std::memory_order_acquire);
+    uint64_t t2 = row->silo_tid().load(std::memory_order_acquire);
     if (t1 == t2) {
       *tid_out = t1;
       return buf;
@@ -1170,10 +1170,10 @@ RC TxnHandle::SiloCommit_(RC user_rc) {
   for (size_t i = 0; i < silo_writes_.size(); i++) {
     Row* row = silo_writes_[i].row;
     for (;;) {
-      uint64_t cur = row->silo_tid.load(std::memory_order_acquire);
+      uint64_t cur = row->silo_tid().load(std::memory_order_acquire);
       if (!(cur & Row::kSiloLockBit) &&
-          row->silo_tid.compare_exchange_weak(cur, cur | Row::kSiloLockBit,
-                                              std::memory_order_acq_rel)) {
+          row->silo_tid().compare_exchange_weak(
+              cur, cur | Row::kSiloLockBit, std::memory_order_acq_rel)) {
         break;
       }
       std::this_thread::yield();
@@ -1183,7 +1183,7 @@ RC TxnHandle::SiloCommit_(RC user_rc) {
 
   bool valid = true;
   for (const SiloRead& r : silo_reads_) {
-    uint64_t cur = r.row->silo_tid.load(std::memory_order_acquire);
+    uint64_t cur = r.row->silo_tid().load(std::memory_order_acquire);
     bool locked_by_other =
         (cur & Row::kSiloLockBit) &&
         std::none_of(silo_writes_.begin(), silo_writes_.end(),
@@ -1196,9 +1196,9 @@ RC TxnHandle::SiloCommit_(RC user_rc) {
 
   if (!valid) {
     for (const SiloWrite& w : silo_writes_) {
-      uint64_t cur = w.row->silo_tid.load(std::memory_order_acquire);
-      w.row->silo_tid.store(cur & ~Row::kSiloLockBit,
-                            std::memory_order_release);
+      uint64_t cur = w.row->silo_tid().load(std::memory_order_acquire);
+      w.row->silo_tid().store(cur & ~Row::kSiloLockBit,
+                              std::memory_order_release);
     }
     return RC::kAbort;
   }
@@ -1210,7 +1210,7 @@ RC TxnHandle::SiloCommit_(RC user_rc) {
   commit_tid++;
   for (const SiloWrite& w : silo_writes_) {
     SeqlockStore(w.row->base(), w.buf, w.row->size());
-    w.row->silo_tid.store(commit_tid, std::memory_order_release);
+    w.row->silo_tid().store(commit_tid, std::memory_order_release);
   }
   return RC::kOk;
 }

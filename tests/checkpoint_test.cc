@@ -2,17 +2,20 @@
 // the boundary, snapshot rows, atomic-rename publish, retention), bounded
 // recovery = checkpoint + WAL-suffix replay, fallback to the previous
 // checkpoint when the newest is damaged (both by external corruption and
-// via the ckpt_torn_tail failpoint), and WAL-segment truncation behind the
-// retention rule.
+// via the ckpt_torn_tail failpoint), WAL-segment truncation behind the
+// retention rule, and background passes racing a large load.
 #include "src/db/checkpoint.h"
 
 #include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/common/failpoint.h"
 #include "src/db/database.h"
@@ -323,6 +326,78 @@ void TestNoCheckpointWhenReadOnly() {
   RemoveTmpDir(dir);
 }
 
+/// Wait (bounded) until `ck` completes a pass past `seq`.
+bool WaitPassAfter(const Checkpointer* ck, uint32_t seq) {
+  for (int i = 0; i < 60000; i++) {
+    if (ck->last_seq() > seq) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+/// The background checkpointer, at a 1 ms interval, walks the catalog while
+/// the loader is still creating the table's rows (and committing now and
+/// then): each pass may read only published rows. Recovery from the passes'
+/// checkpoints must reproduce every committed image.
+void TestCheckpointDuringLoad() {
+  constexpr uint64_t kLoadRows = 200000;
+  constexpr uint64_t kQuarter = kLoadRows / 4;
+  std::string dir = MakeTmpDir("duringload");
+  std::vector<uint64_t> expected(kLoadRows, 0);
+  {
+    Config cfg = LogConfig(dir);
+    cfg.ckpt_enabled = true;
+    cfg.ckpt_interval_us = 1000;
+    Database db(cfg);
+    const Checkpointer* ck = db.checkpointer();
+    CHECK(ck != nullptr);
+    if (ck == nullptr) return;
+    Schema s;
+    s.AddColumn("val", 8);
+    Table* tbl = db.catalog()->CreateTable("t", s);
+    HashIndex* idx = db.catalog()->CreateIndex("t_pk", kLoadRows);
+    Actor a(&db);
+    uint64_t ack = 0;
+    for (uint64_t k = 0; k < kLoadRows; k++) {
+      db.LoadRow(tbl, idx, k);
+      if (k % 1024 == 1023) {
+        const uint64_t key = (k * 7919) % (k + 1);
+        a.Begin(&db);
+        CHECK(a.h.UpdateRmw(idx, key, Bump, nullptr) == RC::kOk);
+        CHECK(a.h.Commit(RC::kOk) == RC::kOk);
+        expected[key]++;
+        ack = a.cb.log_ack_epoch;
+      }
+      // Hold at each quarter until a pass completes, so passes provably
+      // interleave with the load.
+      if (k % kQuarter == kQuarter - 1 && k + 1 < kLoadRows) {
+        CHECK(WaitPassAfter(ck, ck->last_seq()));
+      }
+    }
+    CHECK(ck->last_seq() >= 3u);
+    CHECK(db.wal()->WaitDurable(ack) == WaitResult::kDurable);
+    // A pass that starts after the load covers every row.
+    const uint32_t seen = ck->last_seq();
+    CHECK(WaitPassAfter(ck, seen + 1));
+  }
+
+  Database fresh{Config{}};
+  Schema s;
+  s.AddColumn("val", 8);
+  Table* tbl = fresh.catalog()->CreateTable("t", s);
+  HashIndex* idx = fresh.catalog()->CreateIndex("t_pk", kLoadRows);
+  for (uint64_t k = 0; k < kLoadRows; k++) fresh.LoadRow(tbl, idx, k);
+  RecoveryResult res = fresh.Recover(dir);
+  CHECK(res.ckpt_epoch > 0);
+  CHECK_EQ(res.ckpt_rows, kLoadRows);
+  uint64_t mismatches = 0;
+  for (uint64_t k = 0; k < kLoadRows; k++) {
+    if (RowValue(idx->Get(k)) != expected[k]) mismatches++;
+  }
+  CHECK_EQ(mismatches, 0u);
+  RemoveTmpDir(dir);
+}
+
 }  // namespace
 }  // namespace bamboo
 
@@ -332,5 +407,6 @@ int main() {
   RUN_TEST(bamboo::TestTornTailFailpoint);
   RUN_TEST(bamboo::TestRetentionTruncatesSegments);
   RUN_TEST(bamboo::TestNoCheckpointWhenReadOnly);
+  RUN_TEST(bamboo::TestCheckpointDuringLoad);
   return bamboo::test::Summary("checkpoint_test");
 }

@@ -2,8 +2,9 @@
 // request pools (slot reuse across retries), intrusive-queue unlink under
 // cascading abort, the dependents inline -> spill -> shrink round trip,
 // and assertion-backed "no heap allocations after warmup" checks on a
-// synthetic hotspot and on a 1000-op scan through TxnHandle (the row-set
-// dedup fallback). Runs under TSan/ASan via scripts/run_sanitizers.sh.
+// synthetic hotspot, on a 1000-op scan through TxnHandle (the row-set
+// dedup fallback), on the first write of a never-written row, and on a row
+// with two overlapping writers. Runs under TSan/ASan via scripts/run_sanitizers.sh.
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -435,6 +436,86 @@ void TestZeroAllocLongScanThroughHandle() {
   CHECK_EQ(delta, 0u);
 }
 
+/// A row's first write needs no allocation either: the version image, the
+/// chain entry and the retained Opt-3 snapshot all live in the row's slab
+/// slot. After the executor is warmed on other rows, a transaction that
+/// RMWs a never-written row and commits performs zero heap allocations.
+void TestZeroAllocFirstWriteOnFreshRow() {
+  constexpr uint64_t kRows = 256;
+  Config cfg;
+  cfg.protocol = Protocol::kBamboo;
+  cfg.num_threads = 1;
+  Database db(cfg);
+  Schema schema;
+  schema.AddColumn("v", 8);
+  Table* table = db.catalog()->CreateTable("t", schema);
+  HashIndex* index = db.catalog()->CreateIndex("t_pk", kRows);
+  for (uint64_t k = 0; k < kRows; k++) db.LoadRow(table, index, k);
+
+  TxnCB cb;
+  ThreadStats stats;
+  cb.stats = &stats;
+  TxnHandle h(&db, &cb);
+  RmwFn bump = [](char* d, void*) {
+    uint64_t v;
+    std::memcpy(&v, d, 8);
+    v++;
+    std::memcpy(d, &v, 8);
+  };
+  auto write_and_commit = [&](uint64_t key) {
+    cb.txn_seq.fetch_add(1, std::memory_order_relaxed);
+    cb.ResetForAttempt(false);
+    db.cc()->Begin(&cb);
+    cb.planned_ops = 1;
+    CHECK(h.UpdateRmw(index, key, bump, nullptr) == RC::kOk);
+    CHECK(h.Commit(RC::kOk) == RC::kOk);
+  };
+
+  for (uint64_t k = 0; k < 16; k++) write_and_commit(k);  // warm the executor
+  for (uint64_t k = 16; k < kRows; k++) {
+    uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+    write_and_commit(k);  // first write ever on row k
+    CHECK_EQ(g_allocs.load(std::memory_order_relaxed) - allocs_before, 0u);
+  }
+  for (uint64_t k = 0; k < kRows; k++) {
+    uint64_t v;
+    std::memcpy(&v, index->Get(k)->base(), 8);
+    CHECK_EQ(v, 1u);
+  }
+}
+
+/// Two overlapping writers on one row: the second version image comes from
+/// the row's pool (the in-slot spare is taken), and after the first round
+/// both the pool and the grown chain are reused -- zero allocations.
+void TestTwoWritersRecycleThroughPool() {
+  Fixture f(Protocol::kBamboo, /*raw_read=*/false);
+  TxnCB a, b;
+  ThreadStats as, bs;
+  a.stats = &as;
+  b.stats = &bs;
+  auto round = [&]() {
+    BeginAttempt(&a, 1);
+    BeginAttempt(&b, 2);
+    AccessGrant ga = f.Acquire(&f.row, &a, LockType::kEX);
+    CHECK(ga.rc == AcqResult::kGranted);
+    f.lm->Retire(&f.row, ga.token);
+    AccessGrant gb = f.Acquire(&f.row, &b, LockType::kEX);
+    CHECK(gb.rc == AcqResult::kGranted);
+    CHECK(gb.dirty);
+    CHECK(gb.write_data != ga.write_data);
+    CHECK_EQ(f.row.chain().size(), 2u);
+    a.status.store(TxnStatus::kCommitted);
+    f.lm->Release(&f.row, ga.token, true);
+    b.status.store(TxnStatus::kCommitted);
+    f.lm->Release(&f.row, gb.token, true);
+    CHECK_EQ(f.row.chain().size(), 0u);
+  };
+  round();  // warmup: the pool and the chain grow once
+  uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 50; i++) round();
+  CHECK_EQ(g_allocs.load(std::memory_order_relaxed) - allocs_before, 0u);
+}
+
 /// The shard latch counters and the per-thread ThreadStats are two books
 /// of the same contention events, written together by ShardGuard. With
 /// detached (pipelined) commits in the mix -- where a foreign thread
@@ -519,6 +600,8 @@ int main() {
   RUN_TEST(TestDependentsSpillRoundTrip);
   RUN_TEST(TestZeroAllocAfterWarmup);
   RUN_TEST(TestZeroAllocLongScanThroughHandle);
+  RUN_TEST(TestZeroAllocFirstWriteOnFreshRow);
+  RUN_TEST(TestTwoWritersRecycleThroughPool);
   RUN_TEST(TestShardStatsAggregation);
   return bamboo::test::Summary("req_pool_test");
 }
